@@ -12,12 +12,24 @@ relators against thousands of generators:
   1. structural certificates: no relators, fewer nonzero rows than
      generators, a generator with zero exponent everywhere, or all row
      sums zero (send every generator to 1). All exact.
-  2. rank mod a prime of a compressed matrix: the rows are randomly
-     partitioned into m + 64 balanced buckets and each bucket summed
-     with random nonzero coefficients. Compression only ever loses
-     rank, so full rank of the compressed matrix proves full rational
-     rank, settling the question exactly. A plain row sample would
-     not work here: with short relators it misses columns outright.
+  2. rank mod a prime of a peeled, compressed core (structured
+     Gaussian elimination, after LaMacchia & Odlyzko and Pomerance &
+     Smith). Rows with exactly one nonzero outside the resolved
+     columns are pivoted there, in batched rounds; when none is left,
+     the unresolved column with the most nonzeros joins a seed set S.
+     Each pivot is a nonzero exponent of absolute value at most ell,
+     hence a unit mod either prime (the peel never pivots on an
+     exponent as large as a prime), so the pivot block is triangular
+     with unit diagonal and the rank is |C| + rank of the core: the
+     other rows with the pivot columns C solved away, |S| columns
+     wide. The core rows are randomly partitioned into |S| + 64
+     balanced buckets and each bucket summed with random nonzero
+     coefficients. Compression only ever loses rank, so a full-rank
+     compressed core proves full rational rank, settling the question
+     exactly. A plain row sample would not work here: with short
+     relators it misses columns outright. The core's dense part is
+     gated by the same cap as the other dense work, as a typed
+     BudgetExceededError.
   3. exact integer elimination when the instance is small enough.
   4. otherwise a second prime (and a fresh random compression). A
      deficit surviving both probes is reported as non-surjection with
@@ -31,18 +43,18 @@ intermediate growth is unbounded even for small matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._modrank import (PRIME_A, PRIME_B, _eliminate, _red, rank_mod_p,
-                       rank_mod_p_stream)
-from .errors import CapExceededError
+from ._modrank import (_MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red,
+                       rank_mod_p, rank_mod_p_stream)
+from .errors import BudgetExceededError, CapExceededError
 from .model import Presentation
 
 # exact integer elimination is the default up to this many generators
 RANK_EXACT_MAX = 512
-# extra buckets beyond m in the modular compression probe
+# extra buckets beyond the seed count in the compressed core
 _SUB_EXTRA = 64
 # above this many rows (relative to m) the exact fallback is skipped
 _EXACT_ROW_FACTOR = 20
@@ -318,31 +330,140 @@ def _exact_rank(entries, ids: np.ndarray, m: int) -> int:
     return basis.rank
 
 
-def _compressed_probe_rank(entries, nz_ids: np.ndarray, m: int, p: int,
-                           seed: int) -> int:
-    """Rank mod p of a random (m + 64) x m compression of the rows.
+class _Peel(NamedTuple):
+    """Where the peel left the exponent matrix.
 
-    Every nonzero row lands in exactly one bucket with a random
-    nonzero coefficient, so the compressed rows lie in the row space
-    and the result never exceeds the true rank mod p. Bucket sums are
-    accumulated exactly in float64: each term is below 4 * p and a
-    column meets far fewer rows than 2^53 / (4 * p) in any workable
-    instance.
+    rounds holds, per round, the pivot rows (local indices), their
+    pivot columns and pivot exponents; seeds lists the columns that
+    were resolved without a pivot, in the order they were added.
+    row_ptr bounds each nonzero row's entries, and local maps each
+    entry to its row's local index.
+    """
+    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    seeds: np.ndarray
+    row_ptr: np.ndarray
+    local: np.ndarray
+
+
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(lo[i], lo[i] + n[i]) over i."""
+    offsets = np.cumsum(n) - n
+    return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(lo - offsets, n)
+
+
+def _peel(entries, m: int) -> _Peel:
+    """Pivot pattern of the nonzero exponent rows, without field arithmetic.
+
+    A column is resolved once it is a pivot or a seed. Each round takes
+    every row with exactly one unresolved nonzero column, keeps the
+    smallest such row per column, and pivots it there. When no row
+    qualifies, the unresolved column with the most nonzeros becomes a
+    seed. Per row, the count of unresolved nonzeros and the sums of
+    their columns and exponents are kept up to date, so a row down to
+    one unresolved nonzero names its column and exponent directly.
     """
     rows, cols, vals = entries
-    kn = len(nz_ids)
-    n_buckets = m + _SUB_EXTRA
+    start = np.flatnonzero(np.diff(rows, prepend=-1))
+    row_ptr = np.append(start, len(rows))
+    local = np.repeat(np.arange(len(start), dtype=np.int64), np.diff(row_ptr))
+    left = np.diff(row_ptr)
+    col_sum = np.add.reduceat(cols, start)
+    val_sum = np.add.reduceat(vals, start)
+    # order within a column is irrelevant: candidates are sorted below
+    by_col = np.argsort(cols)
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
+    heaviest = np.argsort(-np.diff(col_ptr), kind="stable")
+    resolved = np.zeros(m, dtype=bool)
+    rounds = []
+    seeds: list[int] = []
+    next_seed = 0
+    n_resolved = 0
+    touched = np.flatnonzero(left == 1)
+    while n_resolved < m:
+        cand = np.sort(touched[left[touched] == 1])
+        # a pivot must be a unit mod both primes; |exponent| <= ell
+        # makes that automatic unless ell reaches the smaller prime
+        cand = cand[np.abs(val_sum[cand]) < PRIME_B]
+        if len(cand):
+            new, first = np.unique(col_sum[cand], return_index=True)
+            rounds.append((cand[first], new, val_sum[cand[first]]))
+        else:
+            while resolved[heaviest[next_seed]]:
+                next_seed += 1
+            new = heaviest[next_seed:next_seed + 1]
+            seeds.append(int(new[0]))
+        resolved[new] = True
+        n_resolved += len(new)
+        idx = by_col[_ranges(col_ptr[new], col_ptr[new + 1] - col_ptr[new])]
+        hit = local[idx]
+        np.subtract.at(left, hit, 1)
+        np.subtract.at(col_sum, hit, cols[idx])
+        np.subtract.at(val_sum, hit, vals[idx])
+        touched = hit
+    return _Peel(rounds, np.array(seeds, dtype=np.int64), row_ptr, local)
+
+
+def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
+    """Rank mod p of the exponent matrix, up to compression of its core.
+
+    With pivot columns C and seed columns S, let X be the m x |S|
+    matrix that is the identity on S and solves P X = 0 on the pivot
+    rows P, found by forward substitution in peel order (each pivot is
+    a unit mod p). The column change [[I, X_C], [0, I]] is unimodular
+    mod p and turns the pivot block into P_C, which is triangular in
+    peel order with units on its diagonal, so the rank is
+    |C| + rank(N X) over the other rows N. Those rows are summed into |S| + 64 random buckets with random
+    nonzero coefficients, which can only lose rank; a full-rank
+    compressed core therefore proves full rank mod p, hence over ℚ.
+    """
+    _, cols, vals = entries
+    s = len(peel.seeds)
+    if s == 0:
+        return m
+    n_buckets = s + _SUB_EXTRA
+    if n_buckets * m + m * s > _DENSE_CAP:
+        raise BudgetExceededError(
+            "surjects_onto_Z", _DENSE_CAP,
+            f"peeled core of {s} seed columns at m={m} needs "
+            f"{n_buckets * m + m * s} dense entries")
+    X = np.zeros((m, s), dtype=np.int64)
+    X[peel.seeds, np.arange(s)] = 1
+    for prow, pcol, pval in peel.rounds:
+        lo = peel.row_ptr[prow]
+        n = peel.row_ptr[prow + 1] - lo
+        idx = _ranges(lo, n)
+        # X[pcol] is still zero, so each pivot's own entry adds nothing
+        acc = np.add.reduceat(vals[idx, None] * X[cols[idx]], np.cumsum(n) - n)
+        units, back = np.unique(pval % p, return_inverse=True)
+        inv = np.array([pow(int(u), -1, p) for u in units], dtype=np.int64)
+        X[pcol] = (-(acc % p) * inv[back, None]) % p
+
+    kn = len(peel.row_ptr) - 1
+    core_row = np.ones(kn, dtype=bool)
+    for prow, _, _ in peel.rounds:
+        core_row[prow] = False
+    n_core = int(core_row.sum())
     rng = np.random.default_rng(seed)
-    bucket_of = np.empty(kn, dtype=np.int64)
-    bucket_of[rng.permutation(kn)] = np.arange(kn, dtype=np.int64) % n_buckets
-    coeff = rng.integers(1, p, size=kn, dtype=np.int64)
-    pos = np.searchsorted(nz_ids, rows)
-    key = bucket_of[pos] * m + cols
-    weights = coeff[pos].astype(np.float64) * vals
-    S = np.bincount(key, weights=weights, minlength=n_buckets * m)
-    S = _red(S.reshape(n_buckets, m), p)
-    rank, _ = _eliminate(S, p, want_basis=False)
-    return rank
+    bucket_of = np.zeros(kn, dtype=np.int64)
+    bucket_of[np.flatnonzero(core_row)[rng.permutation(n_core)]] = \
+        np.arange(n_core, dtype=np.int64) % n_buckets
+    coeff = np.zeros(kn, dtype=np.int64)
+    coeff[core_row] = rng.integers(1, p, size=n_core, dtype=np.int64)
+    keep = core_row[peel.local]
+    at = peel.local[keep]
+    # each term is reduced below p, so a bucket cell stays far below
+    # 2^53 even with MAX_RELATORS rows in one bucket
+    weights = ((coeff[at] * vals[keep]) % p).astype(np.float64)
+    B = np.bincount(bucket_of[at] * m + cols[keep], weights=weights,
+                    minlength=n_buckets * m)
+    B = _red(B.reshape(n_buckets, m), p)
+    Xf = X.astype(np.float64)
+    core = np.zeros((n_buckets, s))
+    # blocks of _MAX_DIM keep each product exact in float64
+    for lo in range(0, m, _MAX_DIM):
+        core = _red(core + B[:, lo:lo + _MAX_DIM] @ Xf[lo:lo + _MAX_DIM], p)
+    rank, _ = _eliminate(core, p, want_basis=False)
+    return m - s + rank
 
 
 def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
@@ -353,7 +474,7 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
         return ZSurjectionReport(True, True, "no_relators")
     entries = _exponent_entries(pres)
     rows, cols, vals = entries
-    nz_ids = np.unique(rows)
+    nz_ids = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
     kn = len(nz_ids)
     if kn < m:
         return ZSurjectionReport(True, True, "fewer_nonzero_rows_than_generators")
@@ -378,7 +499,8 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
             return ZSurjectionReport(False, True, "full_rank_mod_p")
         return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
 
-    if _compressed_probe_rank(entries, nz_ids, m, PRIME_A, 0x5EED1) == m:
+    peel = _peel(entries, m)
+    if _core_rank(entries, peel, m, PRIME_A, 0x5EED1) == m:
         return ZSurjectionReport(False, True, "full_rank_mod_p")
 
     if m <= RANK_EXACT_MAX:
@@ -393,7 +515,7 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
             return ZSurjectionReport(False, True, "full_rank_mod_p")
         return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
 
-    if _compressed_probe_rank(entries, nz_ids, m, PRIME_B, 0x5EED2) == m:
+    if _core_rank(entries, peel, m, PRIME_B, 0x5EED2) == m:
         return ZSurjectionReport(False, True, "full_rank_mod_p")
     return ZSurjectionReport(True, False,
                              "aggregated_rank_deficient_mod_two_primes")

@@ -191,7 +191,10 @@ def run_trial(model: str, params: ModelParams,
 
     surj: Optional[bool] = None
     if "abelianization" in analyses:
-        surj = surjects_onto_Z_details(pres).surjects
+        try:
+            surj = surjects_onto_Z_details(pres).surjects
+        except BudgetExceededError:
+            budget_errors.append("surjects_onto_Z")
     else:
         skipped.append("abelianization")
 

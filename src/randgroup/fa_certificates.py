@@ -193,6 +193,7 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
         if t_min <= 0:
             v_i = pad(live, s)
             return chosen + [v_i] + [default_set] * (ell - i - 1)
+        filler = pad(live, s - t_min)
         for T in combinations(sorted(live), t_min):
             nodes += 1
             if nodes > budget:
@@ -202,7 +203,6 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
             hit = 0
             for g in T:
                 hit |= live[g]
-            filler = pad(live, s - t_min)
             got = dfs(i + 1, compatible & hit,
                       chosen + [tuple(sorted(T + filler))])
             if got is not None:

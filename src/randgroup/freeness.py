@@ -91,7 +91,7 @@ class StuckReport:
             "stuck": True,
             "reason": self.reason,
             "remaining_generators": list(self.remaining_generators),
-            "remaining_relators": [list(w) for w in self.remaining_relators],
+            "remaining_relators": self.remaining_matrix.tolist(),
             "rank_negative": self.rank_negative,
         }
 
@@ -136,10 +136,10 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
     flat = gens.ravel()
     counts = np.bincount(flat, minlength=m + 1)
     rid_of_cell = np.repeat(np.arange(k0, dtype=np.int64), pres.ell)
-    # max possible sum ell * k^2 stays far below 2^53, so float64
-    # accumulation is exact here
-    rid_sum = np.bincount(flat, weights=rid_of_cell.astype(np.float64),
-                          minlength=m + 1).astype(np.int64)
+    # int64, because a float64 sum of ids is exact only while
+    # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
+    rid_sum = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(rid_sum, flat, rid_of_cell)
 
     active_gen = np.ones(m + 1, dtype=bool)
     active_gen[0] = False

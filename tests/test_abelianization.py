@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randgroup.abelianization as abz
+from randgroup._modrank import PRIME_A, PRIME_B, rank_mod_p
 from randgroup.abelianization import (
     AbelianInvariants,
     IntegerRowBasis,
@@ -20,8 +24,11 @@ from randgroup.abelianization import (
     surjects_onto_Z,
     surjects_onto_Z_details,
 )
+from randgroup.errors import BudgetExceededError
+from randgroup.experiments import trial_seed
 from randgroup.freeness import EliminationCertificate, certify_free
-from randgroup.model import ModelParams, make_presentation, sample_binomial
+from randgroup.model import (ModelParams, make_presentation, sample,
+                             sample_binomial)
 
 
 @lru_cache(maxsize=None)
@@ -364,6 +371,145 @@ def test_large_deficit_reports_inexact():
     assert rep == ZR(True, False, "aggregated_rank_deficient_mod_two_primes")
 
 
+def test_core_memory_gate_raises_typed_error(monkeypatch):
+    pres = sample_binomial(ModelParams(m=600, ell=3, param=2.9e-6, seed=2026))
+    monkeypatch.setattr(abz, "_DENSE_CAP", 1000)
+    with pytest.raises(BudgetExceededError) as err:
+        surjects_onto_Z_details(pres)
+    assert err.value.check == "surjects_onto_Z"
+    assert err.value.limit == 1000
+
+
+@st.composite
+def tall_presentations(draw):
+    # more than m + 64 nonzero rows, so the peeled core is compressed;
+    # rows touching two or more generators make the peel stall, and
+    # rows orthogonal to a vector v make the matrix rank deficient
+    m, ell = draw(st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]))
+    min_support = draw(st.integers(1, 2))
+    pool = [w for w in word_pool(m, ell)
+            if sum(1 for x in word_exponents(w, m) if x) >= min_support]
+    if len(pool) <= m + 64:
+        pool = [w for w in word_pool(m, ell) if any(word_exponents(w, m))]
+    if draw(st.booleans()):
+        v = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)
+                 .filter(any))
+        confined = [w for w in pool if sum(
+            a * b for a, b in zip(word_exponents(w, m), v)) == 0]
+        if len(confined) > m + 64:
+            pool = confined
+    k = draw(st.integers(m + 65, min(len(pool), m + 110)))
+    idxs = draw(st.lists(st.integers(0, len(pool) - 1),
+                         min_size=k, max_size=k, unique=True))
+    return make_presentation(m, ell, [pool[i] for i in idxs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_presentations(), st.integers(0, 2**32))
+def test_core_rank_is_a_sound_lower_bound(pres, seed):
+    dense = exponent_matrix(pres)
+    entries = abz._exponent_entries(pres)
+    peel = abz._peel(entries, pres.m)
+    for p in (PRIME_A, PRIME_B):
+        rank = abz._core_rank(entries, peel, pres.m, p, seed)
+        assert rank <= rank_mod_p(dense, p)
+        if rank == pres.m:
+            assert rational_rank(dense) == pres.m
+
+
 def test_details_deterministic():
     pres = sample_binomial(ModelParams(m=600, ell=3, param=2.9e-6, seed=2026))
     assert surjects_onto_Z_details(pres) == surjects_onto_Z_details(pres)
+
+
+# ----------------------------------------------- golden tier decisions
+
+def _dense_trial_shaped(m, seed):
+    return sample_binomial(
+        ModelParams(m=m, ell=4, param=math.log(m) * m ** -3, seed=seed))
+
+
+def _sparse_ell3(m, c, seed):
+    return sample_binomial(
+        ModelParams(m=m, ell=3, param=c * math.log(m) * m ** -2, seed=seed))
+
+
+def _direct_deficit_above_exact_cutoff():
+    # 538 rows at m=520: every row is orthogonal to e_519 + e_520, and
+    # the row count stays below m + 64, so the whole matrix is ranked
+    rels = [(g, g, g, g) for g in range(1, 519)]
+    rels += [(519, a, -520, b) for a in range(1, 5) for b in range(1, 6)]
+    return make_presentation(520, 4, rels)
+
+
+def _large_deficit():
+    inner = sample_binomial(ModelParams(m=598, ell=4, param=7.4e-10, seed=77))
+    special = [(a, 599, 599, -600) for a in range(1, 21)]
+    return make_presentation(600, 4, list(inner.relators) + special)
+
+
+FULL = ZR(False, True, "full_rank_mod_p")
+
+GOLDEN_TIERS = [
+    ("no_relators", lambda: make_presentation(5, 3, []),
+     ZR(True, True, "no_relators")),
+    ("positive_m8_sparse",
+     lambda: sample("positive", ModelParams(m=8, ell=3, param=0.02, seed=2)),
+     ZR(True, True, "fewer_nonzero_rows_than_generators")),
+    ("zero_column_m1000", lambda: _sparse_ell3(1000, 0.05, 5),
+     ZR(True, True, "zero_exponent_column")),
+    ("zero_sums", lambda: make_presentation(
+        2, 4, [(1, 1, -2, -2), (2, 2, -1, -1)]),
+     ZR(True, True, "total_exponent_sums_all_zero")),
+    ("direct_full_m8",
+     lambda: sample("positive", ModelParams(m=8, ell=3, param=0.1, seed=0)),
+     FULL),
+    ("direct_exact_m8",
+     lambda: make_presentation(8, 4, balanced_pool_words(40)),
+     ZR(True, True, "integer_elimination")),
+    ("direct_deficit_m520", _direct_deficit_above_exact_cutoff,
+     ZR(True, False, "rank_deficient_mod_two_primes")),
+    ("probe_full_positive_m8",
+     lambda: sample("positive", ModelParams(m=8, ell=3, param=0.5, seed=1)),
+     FULL),
+    ("probe_exact_m8",
+     lambda: make_presentation(8, 4, balanced_pool_words(150)),
+     ZR(True, True, "integer_elimination")),
+    ("probe_streamed_m8",
+     lambda: make_presentation(8, 4, balanced_pool_words(161)),
+     ZR(True, False, "rank_deficient_mod_two_primes")),
+    ("probe_full_m600", lambda: sample_binomial(
+        ModelParams(m=600, ell=3, param=2.9e-6, seed=2026)), FULL),
+    ("probe_deficit_m600", _large_deficit,
+     ZR(True, False, "aggregated_rank_deficient_mod_two_primes")),
+    ("sparse_ell3_m1000", lambda: _sparse_ell3(1000, 0.05, 0), FULL),
+    ("ell3_m1000", lambda: _sparse_ell3(1000, 0.3, 1), FULL),
+    ("dense_trial_m1000_s1", lambda: _dense_trial_shaped(1000, 1), FULL),
+    ("dense_trial_m1000_s2", lambda: _dense_trial_shaped(1000, 2), FULL),
+    ("dense_trial_m1100_s3", lambda: _dense_trial_shaped(1100, 3), FULL),
+]
+
+
+@pytest.mark.parametrize("make, want", [(mk, w) for _, mk, w in GOLDEN_TIERS],
+                         ids=[name for name, _, _ in GOLDEN_TIERS])
+def test_golden_tier_decisions(make, want):
+    assert surjects_onto_Z_details(make()) == want
+
+
+def test_golden_positive_sweep_tiers():
+    # the small positive-model grid of scripts/threshold_sweep.py, one
+    # fixed master seed: every trial's deciding tier is pinned
+    grid = (0.001, 0.005, 0.02, 0.1, 0.3, 0.5, 0.7)
+    got = Counter()
+    for pi, p in enumerate(grid):
+        for ti in range(30):
+            pres = sample("positive", ModelParams(
+                m=8, ell=3, param=p, seed=trial_seed(4242, pi, ti)))
+            got[surjects_onto_Z_details(pres)] += 1
+    assert got == Counter({
+        FULL: 140,
+        ZR(True, True, "fewer_nonzero_rows_than_generators"): 46,
+        ZR(True, True, "no_relators"): 19,
+        ZR(True, True, "integer_elimination"): 3,
+        ZR(True, True, "zero_exponent_column"): 2,
+    })

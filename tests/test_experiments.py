@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randgroup.abelianization as abz
 from randgroup.errors import (DomainError, NoCrossingError,
                               NonMonotoneTrendError)
 from randgroup.experiments import (
@@ -90,6 +91,14 @@ def test_trial_budget_error_recorded():
     rec = run_trial("positive", params, budgets=Budgets(l_nodes=2))
     assert rec.budget_errors == ("check_L_exact",)
     assert rec.verdict == "Unknown"
+
+
+def test_trial_surjection_budget_error_recorded(monkeypatch):
+    monkeypatch.setattr(abz, "_DENSE_CAP", 1000)
+    params = ModelParams(m=600, ell=3, param=2.9e-6, seed=2026)
+    rec = run_trial("binomial", params, analyses=frozenset({"abelianization"}))
+    assert rec.budget_errors == ("surjects_onto_Z",)
+    assert rec.surjects_Z is None
 
 
 @settings(max_examples=60, deadline=None)
