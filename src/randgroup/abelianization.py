@@ -488,6 +488,11 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
         return ZSurjectionReport(True, True, "total_exponent_sums_all_zero")
 
     if kn <= m + _SUB_EXTRA:
+        if kn * m > _DENSE_CAP:
+            raise BudgetExceededError(
+                "surjects_onto_Z", _DENSE_CAP,
+                f"{kn} nonzero exponent rows at m={m} need {kn * m} "
+                f"dense entries")
         direct = _dense_rows(entries, nz_ids, m)
         if rank_mod_p(direct, PRIME_A) == m:
             return ZSurjectionReport(False, True, "full_rank_mod_p")

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .abelianization import abelian_invariants
@@ -28,7 +29,12 @@ from .words import iter_cyclically_reduced, word_to_text
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RANDGROUP_SEED", "0"))
+    text = os.environ.get("RANDGROUP_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(
+            f"RANDGROUP_SEED must be an integer, got {text!r}") from None
 
 
 def _load(path: str):
@@ -65,9 +71,9 @@ def _cmd_sample(args) -> int:
         param = args.p
         if not 0.0 <= param <= 1.0:
             raise DomainError(f"--p must lie in [0,1], got {param}")
+    seed = _default_seed() if args.seed is None else args.seed
     pres = sample(args.model,
-                  ModelParams(m=args.m, ell=args.ell, param=param,
-                              seed=args.seed))
+                  ModelParams(m=args.m, ell=args.ell, param=param, seed=seed))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             save_presentation(pres, fh)
@@ -169,7 +175,13 @@ def _cmd_sweep(args) -> int:
             raise DomainError(f"sweep needs {key!r} from config or flags")
     grid = tuple(tuple(g) if isinstance(g, list) else g
                  for g in settings["grid"])
-    budgets = Budgets(**settings.get("budgets", {}))
+    budget_settings = settings.get("budgets", {})
+    if not isinstance(budget_settings, dict):
+        raise DomainError("config budgets must be a JSON object")
+    unknown = set(budget_settings) - {f.name for f in fields(Budgets)}
+    if unknown:
+        raise DomainError(f"unknown budgets keys {sorted(unknown)}")
+    budgets = Budgets(**budget_settings)
     config = SweepConfig(
         ms=tuple(int(m) for m in settings["ms"]),
         ell=int(settings["ell"]),
@@ -228,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[t for t in MODEL_TAGS
                                        if t != "manual"],
                    default="binomial")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed (default: RANDGROUP_SEED or 0)")
     p.add_argument("-o", dest="output", default=None,
                    help="output file (default: stdout)")
     p.set_defaults(func=_cmd_sample)

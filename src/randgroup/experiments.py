@@ -22,7 +22,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,9 +32,9 @@ from .abelianization import surjects_onto_Z_details
 from .errors import (BudgetExceededError, DomainError, NoCrossingError,
                      NonMonotoneTrendError)
 from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
-                              VERDICT_FA, VERDICT_FREE, VERDICT_SPLITS,
-                              VERDICT_UNKNOWN, check_L_exact, check_SL_exact,
-                              unused_generators)
+                              SL_SCAN_LIMIT, VERDICT_FA, VERDICT_FREE,
+                              VERDICT_SPLITS, VERDICT_UNKNOWN, check_L_exact,
+                              check_SL_exact, unused_generators)
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
 from .model import (MODEL_TAGS, ModelParams, density_to_p, p_to_density,
@@ -58,6 +58,17 @@ class Budgets:
     l_max_m: int = 30
     sl_max_m: int = SL_MAX_M
     l_nodes: int = L_NODE_BUDGET
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                raise DomainError(f"budget {f.name} must be a non-negative "
+                                  f"integer, got {value!r}")
+        if self.sl_max_m > SL_SCAN_LIMIT:
+            raise DomainError(f"budget sl_max_m={self.sl_max_m} exceeds the "
+                              f"split scan limit {SL_SCAN_LIMIT}")
 
 
 @dataclass(frozen=True)

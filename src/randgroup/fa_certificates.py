@@ -36,6 +36,10 @@ from .model import Presentation
 DEFAULT_EPSILON = Fraction(1, 100)
 L_NODE_BUDGET = 500_000
 SL_MAX_M = 22
+# largest max_m check_SL_exact accepts: the scan holds about 23 bytes per
+# subset of the generators (1.5 GB at m = 26), and its first-letter
+# masks are uint32, so they cannot hold m > 32 at all
+SL_SCAN_LIMIT = 26
 
 VERDICT_FREE = "FreeCertified"
 VERDICT_SPLITS = "SplitsWitness"
@@ -256,6 +260,9 @@ def check_SL_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     """
     eps = _as_eps(eps)
     m = pres.m
+    if max_m > SL_SCAN_LIMIT:
+        raise DomainError(
+            f"split scan size limit max_m={max_m} exceeds {SL_SCAN_LIMIT}")
     if not pres.all_positive:
         raise DomainError("the split condition is defined for all-positive "
                           "presentations")

@@ -29,7 +29,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, LengthMismatchError
-from .model import Presentation
+from .model import Presentation, key_runs, row_keys
 from .words import Word
 
 
@@ -43,6 +43,10 @@ def classify_type(r: Word, ell: int) -> int:
     if distinct == ell - 1:
         return 2
     return 1
+
+
+def _identity(column: np.ndarray) -> np.ndarray:
+    return column
 
 
 def _distinct_per_row(sorted_gens: np.ndarray) -> np.ndarray:
@@ -126,14 +130,11 @@ def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray
     data = np.ones(len(first), dtype=np.int8)
     graph = coo_matrix((data, (first, rest)), shape=(m, m))
     _, raw = connected_components(graph, directed=False)
-    # renumber by first appearance
-    order = np.full(raw.max() + 1, -1, dtype=np.int64)
-    seen = 0
-    for v in range(m):
-        if order[raw[v]] < 0:
-            order[raw[v]] = seen
-            seen += 1
-    return seen, order[raw]
+    # renumber by first appearance: rank each label's first vertex
+    _, first_vertex = np.unique(raw, return_index=True)
+    rank = np.empty(len(first_vertex), dtype=np.int64)
+    rank[np.argsort(first_vertex)] = np.arange(len(first_vertex))
+    return len(first_vertex), rank[raw]
 
 
 def components(h: SupportHypergraph) -> list[list[int]]:
@@ -193,8 +194,9 @@ def diagnostics(pres: Presentation) -> DiagnosticsReport:
     for d in np.unique(dist):
         sup = h.class_supports(int(d))
         if sup.shape[0] > 1:
-            _, counts = np.unique(sup, axis=0, return_counts=True)
-            double_edges += int((counts > 1).sum())
+            _, starts = key_runs(row_keys(sup, m + 1, digits=_identity))
+            runs = np.diff(starts, append=sup.shape[0])
+            double_edges += int((runs > 1).sum())
 
     uniform = h.uniform_edge_rows()
     n_comp, labels = _component_labels(m, uniform)

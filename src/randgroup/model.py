@@ -13,6 +13,18 @@ matrix of signed letters; the tuple-of-tuples view is materialized
 lazily. Sampling is vectorized and exactly uniform: drawing i.i.d.
 uniform words and keeping first occurrences until K distinct words are
 collected yields a uniform K-subset of the universe.
+
+Every layer that dedups, sorts or compares relator rows does so on one
+packed key. Letter x has code c = 2(|x|-1) + [x < 0], so the codes
+0, 1, 2, 3, ... are the letters 1, -1, 2, -2, ...; a word is read as a
+number in base 2m, most significant letter first. One int64 column
+holds as many letters as keep base^letters <= 2^63 - 1, and longer
+words are split into several columns of that many letters (the last
+one shorter). The lexicographic order of the key columns is then the
+word order of ``words.word_key``. One column suffices whenever
+(2m)^ell < 2^63, e.g. m = 10^4 up to ell = 4 and m = 10^6 up to ell = 3.
+The diagnostics pack supports (sorted generator sets) the same way,
+with base m + 1.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ SMALL_UNIVERSE_MAX = 4096
 MAX_RELATORS = 10**7
 
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -74,32 +87,71 @@ class ModelParams:
 
 def _codes_to_signed(codes: np.ndarray) -> np.ndarray:
     # code 2*(g-1) is generator g, code 2*(g-1)+1 its inverse
-    gens = (codes >> 1) + 1
-    return np.where(codes & 1 == 0, gens, -gens).astype(np.int32)
+    signed = (codes >> 1).astype(np.int32)
+    signed += 1
+    sign = (codes & 1).astype(np.int32)
+    sign *= -2
+    sign += 1
+    signed *= sign
+    return signed
 
 
-def _signed_to_codes(signed: np.ndarray) -> np.ndarray:
-    return (2 * (np.abs(signed) - 1) + (signed < 0)).astype(np.int64)
+def _letters_per_key(base: int) -> int:
+    """Most base-`base` digits whose packed value stays within int64."""
+    n = 1
+    while base ** (n + 1) <= _INT64_MAX:
+        n += 1
+    return n
 
 
-def _sort_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows sorted by the word order (generator index, positive before inverse)."""
+def _letter_codes(column: np.ndarray) -> np.ndarray:
+    codes = np.abs(column).astype(np.int64)
+    codes -= 1
+    codes *= 2
+    codes += column < 0
+    return codes
+
+
+def row_keys(matrix: np.ndarray, base: int,
+             digits=_letter_codes) -> list[np.ndarray]:
+    """Packed int64 key columns, most significant first, of a row matrix.
+
+    ``digits`` maps one matrix column to int64 digits in [0, base); the
+    default gives the letter codes of signed words, for base 2m. The
+    lexicographic order of the key columns is the lexicographic order
+    of the rows' digits. Digits of an int32 matrix stay below 2^32, so
+    a larger base is lowered to that.
+    """
+    base = min(base, 2**32)
+    k, width = matrix.shape
+    per = _letters_per_key(base)
+    keys = []
+    for lo in range(0, width, per):
+        key = np.zeros(k, dtype=np.int64)
+        for j in range(lo, min(lo + per, width)):
+            key *= base
+            key += digits(matrix[:, j])
+        keys.append(key)
+    return keys
+
+
+def key_runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row order by key, and the positions in it where runs of equal keys start."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _sorted_distinct_rows(matrix: np.ndarray, m: int) -> np.ndarray:
+    """Distinct rows of words over m generators, in the word order."""
     if matrix.shape[0] <= 1:
         return matrix
-    codes = _signed_to_codes(matrix)
-    order = np.lexsort(codes.T[::-1])
-    return matrix[order]
-
-
-def _unique_rows_stable(matrix: np.ndarray) -> np.ndarray:
-    """Distinct rows, keeping the first occurrence in row order."""
-    if matrix.shape[0] <= 1:
-        return matrix
-    m = np.ascontiguousarray(matrix)
-    v = m.view([("", m.dtype)] * m.shape[1]).ravel()
-    _, idx = np.unique(v, return_index=True)
-    idx.sort()
-    return m[idx]
+    order, starts = key_runs(row_keys(matrix, 2 * m))
+    return matrix[order[starts]]
 
 
 class Presentation:
@@ -180,8 +232,8 @@ def make_presentation(m: int, ell: int, relators, model_tag: str = "manual",
         rows.append(w)
     matrix = (np.array(rows, dtype=np.int32) if rows
               else np.empty((0, ell), dtype=np.int32))
-    matrix = _sort_rows(_unique_rows_stable(matrix))
-    return Presentation(m, ell, model_tag, param, seed, matrix, notes)
+    return Presentation(m, ell, model_tag, param, seed,
+                        _sorted_distinct_rows(matrix, m), notes)
 
 
 def euler_characteristic(pres: Presentation) -> int:
@@ -317,6 +369,7 @@ def _draw_relator_count(n_universe: int, p: float, rng: np.random.Generator,
 
 
 def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
+    """Every word of the universe, one per row, in word order."""
     if positive:
         n = m**ell
         grid = np.indices((m,) * ell).reshape(ell, n).T + 1
@@ -326,7 +379,7 @@ def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
 
 def _sample_distinct(m: int, ell: int, k: int, positive: bool,
                      rng: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of the universe, as a matrix in draw order."""
+    """Uniform k-subset of the universe, as a matrix in word order."""
     n_universe = universe_size(m, ell, positive=positive)
     if k > n_universe:
         raise CountExceedsUniverseError(
@@ -340,20 +393,31 @@ def _sample_distinct(m: int, ell: int, k: int, positive: bool,
         # dense regime: rejection would thrash, enumerate and subsample
         universe = _enumerate_universe_matrix(m, ell, positive)
         idx = rng.choice(n_universe, size=k, replace=False)
-        return universe[idx]
+        return universe[np.sort(idx)]
     draw = (_sample_positive_words_matrix if positive
             else sample_uniform_words_matrix)
-    kept = np.empty((0, ell), dtype=np.int32)
-    while kept.shape[0] < k:
-        need = k - kept.shape[0]
+    rows = np.empty((0, ell), dtype=np.int32)
+    need = k
+    while True:
         batch = draw(m, ell, int(need * 1.05) + 16, rng)
-        kept = _unique_rows_stable(np.concatenate([kept, batch], axis=0))
-    return kept[:k]
+        rows = np.concatenate([rows, batch], axis=0)
+        order, starts = key_runs(row_keys(rows, 2 * m))
+        # the earliest draw of each distinct word, in word order (the
+        # sort need not be stable)
+        first = np.minimum.reduceat(order, starts)
+        if len(first) >= k:
+            break
+        rows = rows[np.sort(first)]
+        need = k - len(first)
+    # keep the first k distinct words drawn, still in word order
+    last = np.partition(first, k - 1)[k - 1]
+    return rows[first[first <= last]]
 
 
 def _finish(params: ModelParams, tag: str, matrix: np.ndarray,
             notes: list[str]) -> Presentation:
-    matrix = _sort_rows(matrix)
+    # every sampler path yields distinct rows in word order: the
+    # universe is enumerated in that order
     return Presentation(params.m, params.ell, tag, params.param, params.seed,
                         matrix, tuple(notes))
 
@@ -433,11 +497,19 @@ def sample(model_tag: str, params: ModelParams) -> Presentation:
 # then one relator per line as space-separated signed integers
 
 
+# rows formatted per write call when saving, and file lines parsed per
+# array pass when loading
+_SAVE_BLOCK = 8192
+_LOAD_BLOCK = 1 << 15
+
+
 def save_presentation(pres: Presentation, fh: IO[str]) -> None:
     fh.write(f"{pres.m} {pres.ell} {pres.model_tag} {pres.param!r} {pres.seed}\n")
-    for row in pres.relator_matrix:
-        fh.write(" ".join(str(int(x)) for x in row))
-        fh.write("\n")
+    line = " ".join(["%d"] * pres.ell) + "\n"
+    matrix = pres.relator_matrix
+    for lo in range(0, matrix.shape[0], _SAVE_BLOCK):
+        block = matrix[lo:lo + _SAVE_BLOCK]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_presentation(fh: IO[str]) -> Presentation:
@@ -459,25 +531,102 @@ def load_presentation(fh: IO[str]) -> Presentation:
         raise PresentationFormatError(1, f"unknown model tag {tag!r}")
     if m < 1 or ell < 1:
         raise PresentationFormatError(1, f"need m >= 1 and ell >= 1, got m={m} ell={ell}")
-    rows = []
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        try:
-            w = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise PresentationFormatError(lineno, f"malformed relator {line.strip()!r}") from None
-        if len(w) != ell:
-            raise PresentationFormatError(
-                lineno, f"relator length {len(w)}, expected {ell}")
-        if any(x == 0 or abs(x) > m for x in w):
-            raise PresentationFormatError(lineno, f"letter out of range in {w}")
-        if not is_cyclically_reduced(w):
-            raise PresentationFormatError(lineno, f"relator {w} is not cyclically reduced")
-        if tag == "positive" and any(x < 0 for x in w):
-            raise PresentationFormatError(lineno, f"negative letter in positive model: {w}")
-        rows.append(w)
-    matrix = (np.array(rows, dtype=np.int32) if rows
-              else np.empty((0, ell), dtype=np.int32))
-    matrix = _sort_rows(_unique_rows_stable(matrix))
-    return Presentation(m, ell, tag, param, seed, matrix)
+    matrix = _parse_body(fh.read(), m, ell, tag)
+    return Presentation(m, ell, tag, param, seed, _sorted_distinct_rows(matrix, m))
+
+
+def _parse_line(line: str, lineno: int, m: int, ell: int, tag: str) -> Word | None:
+    """One body line by the file's rules: its word, None if blank, or the error."""
+    if not line.strip():
+        return None
+    try:
+        w = tuple(int(tok) for tok in line.split())
+    except ValueError:
+        raise PresentationFormatError(lineno, f"malformed relator {line.strip()!r}") from None
+    if len(w) != ell:
+        raise PresentationFormatError(
+            lineno, f"relator length {len(w)}, expected {ell}")
+    if any(x == 0 or abs(x) > m for x in w):
+        raise PresentationFormatError(lineno, f"letter out of range in {w}")
+    if not is_cyclically_reduced(w):
+        raise PresentationFormatError(lineno, f"relator {w} is not cyclically reduced")
+    if tag == "positive" and any(x < 0 for x in w):
+        raise PresentationFormatError(lineno, f"negative letter in positive model: {w}")
+    return w
+
+
+def _parse_body(body: str, m: int, ell: int, tag: str) -> np.ndarray:
+    """The relator matrix of a file body (the lines after the header).
+
+    Lines whose tokens are -?[0-9]{1,18}, separated by spaces, tabs or
+    carriage returns, are parsed and checked as arrays over the body's
+    bytes, _LOAD_BLOCK lines at a time to bound the temporaries. Every
+    other line, and every line failing a check, goes in file order to
+    _parse_line, so the first bad line raises the same error as a
+    line-by-line parse would; a line with tokens that int() reads but
+    the array parse does not (such as "+1") still loads.
+    """
+    if not body.endswith("\n"):
+        body += "\n"
+    raw = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    line_ends = np.flatnonzero(raw == ord("\n"))
+    blocks, flagged = [], []
+    lo = 0
+    for top in range(0, len(line_ends), _LOAD_BLOCK):
+        ends = line_ends[top:top + _LOAD_BLOCK]
+        rows, bad = _parse_block(raw[lo:ends[-1] + 1], ends - lo, m, ell, tag)
+        blocks.append(rows)
+        flagged.append(bad + top)
+        lo = ends[-1] + 1
+    matrix = np.concatenate(blocks, axis=0)
+    flagged = np.concatenate(flagged)
+    if len(flagged) == 0:
+        return matrix
+    lines = body.split("\n")
+    extra = [w for i in flagged
+             if (w := _parse_line(lines[i], int(i) + 2, m, ell, tag)) is not None]
+    return np.concatenate(
+        [matrix, np.array(extra, dtype=np.int32).reshape(-1, ell)], axis=0)
+
+
+def _parse_block(raw: np.ndarray, line_ends: np.ndarray, m: int, ell: int,
+                 tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the regular, valid lines of a block of whole lines, and the
+    indices of all other non-blank lines."""
+    digit = (raw - np.uint8(ord("0"))) < 10
+    minus = raw == ord("-")
+    token = digit | minus
+    other = ~(token | (raw == ord(" ")) | (raw == ord("\t"))
+              | (raw == ord("\r")) | (raw == ord("\n")))
+    other[1:] |= minus[1:] & token[:-1]  # a minus inside a token
+    # the block ends in a newline, so every token ends inside it
+    starts = np.flatnonzero(token[1:] & ~token[:-1]) + 1
+    if token[0]:
+        starts = np.concatenate([[0], starts])
+    ends = np.flatnonzero(token[:-1] & ~token[1:]) + 1
+    neg = minus[starts]
+    n_digits = ends - starts - neg
+    line_of = np.searchsorted(line_ends, starts)
+
+    odd = np.zeros(len(line_ends), dtype=bool)
+    odd[np.searchsorted(line_ends, np.flatnonzero(other))] = True
+    odd[line_of[(n_digits < 1) | (n_digits > 18)]] = True
+
+    first = starts + neg
+    values = np.zeros(len(starts), dtype=np.int64)
+    for i in range(min(int(n_digits.max(initial=0)), 18)):
+        d = raw[np.minimum(first + i, len(raw) - 1)].astype(np.int64) - ord("0")
+        np.copyto(values, values * 10 + d, where=n_digits > i)
+    np.negative(values, out=values, where=neg)
+
+    counts = np.bincount(line_of, minlength=len(line_ends))
+    full = (counts == ell) & ~odd
+    rows = values[full[line_of]].reshape(-1, ell)
+    fault = ((rows == 0) | (np.abs(rows) > min(m, _INT32_MAX))).any(axis=1)
+    fault |= (rows[:, 1:] == -rows[:, :-1]).any(axis=1)
+    fault |= rows[:, -1] == -rows[:, 0]
+    if tag == "positive":
+        fault |= (rows < 0).any(axis=1)
+    bad = odd | ((counts != ell) & (counts != 0))
+    bad[np.flatnonzero(full)[fault]] = True
+    return rows[~fault].astype(np.int32), np.flatnonzero(bad)

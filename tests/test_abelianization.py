@@ -380,6 +380,19 @@ def test_core_memory_gate_raises_typed_error(monkeypatch):
     assert err.value.limit == 1000
 
 
+def test_direct_memory_gate_raises_typed_error(monkeypatch):
+    # 50 nonzero rows at m=50 take the direct dense route: 2500 entries
+    pres = make_presentation(50, 3, [(g, g, g) for g in range(1, 51)])
+    assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
+    monkeypatch.setattr(abz, "_DENSE_CAP", 2499)
+    with pytest.raises(BudgetExceededError) as err:
+        surjects_onto_Z_details(pres)
+    assert err.value.check == "surjects_onto_Z"
+    assert err.value.limit == 2499
+    monkeypatch.setattr(abz, "_DENSE_CAP", 2500)
+    assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
+
+
 @st.composite
 def tall_presentations(draw):
     # more than m + 64 nonzero rows, so the peeled core is compressed;

@@ -201,6 +201,51 @@ def test_sweep_config_errors(tmp_path, capsys):
     assert run(capsys, "sweep", "--config", str(cfg))[0] == 2
 
 
+SWEEP_BASE = {"ms": [4], "ell": 3, "model": "positive", "grid": [0.05],
+              "trials": 2}
+
+
+@pytest.mark.parametrize("budgets, fragment", [
+    ({"bogus": 1}, "unknown budgets keys ['bogus']"),
+    ([1, 2], "config budgets must be a JSON object"),
+    ({"l_nodes": -1}, "budget l_nodes must be a non-negative integer"),
+    ({"l_max_m": 2.5}, "budget l_max_m must be a non-negative integer"),
+    ({"sl_max_m": 27}, "budget sl_max_m=27 exceeds the split scan limit 26"),
+    ({"sl_max_m": 40}, "budget sl_max_m=40 exceeds the split scan limit 26"),
+])
+def test_sweep_bad_budgets_exit_2(tmp_path, capsys, budgets, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_BASE, "budgets": budgets}))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                         "--threads", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert fragment in err
+
+
+def test_sweep_budgets_at_limits_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_BASE, "budgets": {
+        "sl_max_m": 26, "l_max_m": 0, "l_nodes": 0}}))
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--threads", "1")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_bad_seed_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RANDGROUP_SEED", "abc")
+    target = str(tmp_path / "s.pres")
+    for argv in (["sample", "-m", "4", "-l", "3", "--p", "0.05", "-o", target],
+                 ["sweep", "--ms", "4", "-l", "3", "--model", "binomial",
+                  "--grid", "0.0", "--trials", "1", "--threads", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: RANDGROUP_SEED must be an integer, got 'abc'\n"
+    # an explicit seed does not read the variable
+    code, _, _ = run(capsys, "sample", "-m", "4", "-l", "3", "--p", "0.05",
+                     "--seed", "3", "-o", target)
+    assert code == 0
+
+
 def test_sweep_pure_flag_invocation(capsys):
     code, out, _ = run(capsys, "sweep", "--ms", "4", "-l", "3", "--model",
                        "binomial", "--grid", "0.0", "--trials", "2",

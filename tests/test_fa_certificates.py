@@ -139,6 +139,14 @@ def test_SL_budget():
         check_SL_exact(pres, EPS)
 
 
+def test_SL_scan_limit_rejected():
+    # a limit above 26 is refused before any scan array is sized
+    pres = make_presentation(3, 3, [(1, 2, 3)])
+    with pytest.raises(DomainError):
+        check_SL_exact(pres, EPS, max_m=27)
+    assert check_SL_exact(pres, EPS, max_m=26) == check_SL_exact(pres, EPS)
+
+
 def test_SL_signed_rejected():
     pres = make_presentation(2, 3, [(1, -2, 1)])
     with pytest.raises(DomainError):

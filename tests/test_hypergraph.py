@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from functools import lru_cache
@@ -18,7 +19,8 @@ from randgroup.hypergraph import (
     diagnostics,
     verify_edge_lower_bound,
 )
-from randgroup.model import ModelParams, make_presentation, sample_binomial
+from randgroup.model import (ModelParams, make_presentation, sample,
+                             sample_binomial)
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +240,62 @@ def test_diagnostics_match_oracle(pres):
         "type2_matching_violations": rep.type2_matching_violations,
     }
     assert got == want
+
+
+def unique_rows_double_edges(pres):
+    """Double edges counted with np.unique(axis=0) on each support class."""
+    gens = np.sort(np.abs(pres.relator_matrix), axis=1)
+    width = (np.diff(gens, axis=1) != 0).sum(axis=1) + 1
+    count = 0
+    for d in np.unique(width):
+        rows = gens[width == d]
+        keep = np.ones(rows.shape, dtype=bool)
+        keep[:, 1:] = np.diff(rows, axis=1) != 0
+        sup = rows[keep].reshape(len(rows), int(d))
+        _, mult = np.unique(sup, axis=0, return_counts=True)
+        count += int((mult > 1).sum())
+    return count
+
+
+def two_column_support_presentation():
+    # at m=10^4, (m+1)^5 > 2^63, so five-vertex supports need two key
+    # columns; each group shares one type-3 and one type-2 support
+    rels = []
+    for i in range(60):
+        a = [9999 - 7 * i, 9000 - 5 * i, 5000 + 3 * i, 40 + i, 1 + i]
+        rels += [tuple(a), (a[1], a[0], a[2], a[3], a[4]),
+                 (a[0], -a[1], a[2], a[3], -a[4])]
+        if i % 3 == 0:
+            rels.append((a[0], a[0], a[1], a[2], a[3]))
+            rels.append((a[1], a[0], a[0], a[2], a[3]))
+    return make_presentation(10**4, 5, rels)
+
+
+# sha256 prefixes of the sorted JSON of diagnostics(...).to_json_dict()
+GOLDEN_DIAGNOSTICS = [
+    ("binomial", 6, 3, 0.05, 1, 17, "3742074293365748"),
+    ("binomial", 6, 3, 0.05, 2, 18, "50a9eedab9eaca41"),
+    ("binomial", 4, 5, 0.01, 3, 9, "f8cd07323c173f03"),
+    ("binomial", 4, 5, 0.05, 4, 11, "8bee895d0a9a22d1"),
+    ("positive", 5, 4, 0.1, 5, 14, "58d7eb86857e971b"),
+    ("binomial", 8, 4, 0.01, 6, 126, "906d2f850712fbd2"),
+    ("binomial", 300, 3, 2e-5, 7, 5, "a4b9baca0d696b01"),
+    ("binomial", 2000, 4, 2e-10, 8, 0, "5c4a700194449c8d"),
+    ("manual", 10**4, 5, None, None, 80, "62fdb177268a3416"),
+]
+
+
+@pytest.mark.parametrize("tag, m, ell, param, seed, doubles, digest",
+                         GOLDEN_DIAGNOSTICS)
+def test_golden_diagnostics(tag, m, ell, param, seed, doubles, digest):
+    if tag == "manual":
+        pres = two_column_support_presentation()
+    else:
+        pres = sample(tag, ModelParams(m, ell, param, seed))
+    got = diagnostics(pres).to_json_dict()
+    assert got["double_edge_count"] == unique_rows_double_edges(pres) == doubles
+    text = json.dumps(got, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 @settings(max_examples=120, deadline=None)

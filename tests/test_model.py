@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from randgroup import model
 from randgroup.errors import (
     CountExceedsUniverseError,
     DomainError,
@@ -21,6 +23,7 @@ from randgroup.model import (
     make_presentation,
     make_rng,
     p_to_density,
+    sample,
     sample_binomial,
     sample_positive,
     sample_uniform_count,
@@ -214,25 +217,91 @@ def test_file_round_trip():
     assert back.seed == 55
 
 
+LOADER_FAULTS = [
+    # header faults
+    ("2 3 binomial 0.5\n", 1,
+     "header needs 5 fields (m ell model_tag param seed), got 4"),
+    ("", 1, "missing header line"),
+    ("2 x binomial 0.5 7\n", 1,
+     "malformed header: invalid literal for int() with base 10: 'x'"),
+    ("2 3 bogus 0.5 7\n", 1, "unknown model tag 'bogus'"),
+    ("0 3 binomial 0.5 7\n", 1, "need m >= 1 and ell >= 1, got m=0 ell=3"),
+    # one fault kind per body line
+    ("2 3 binomial 0.5 7\n1 x 2\n", 2, "malformed relator '1 x 2'"),
+    ("2 3 binomial 0.5 7\n1 2 -\n", 2, "malformed relator '1 2 -'"),
+    ("2 3 binomial 0.5 7\n1 --2 1\n", 2, "malformed relator '1 --2 1'"),
+    ("2 3 binomial 0.5 7\n1 2-1 1\n", 2, "malformed relator '1 2-1 1'"),
+    ("2 3 binomial 0.5 7\n1 2.0 1\n", 2, "malformed relator '1 2.0 1'"),
+    ("2 3 binomial 0.5 7\n1 2\n", 2, "relator length 2, expected 3"),
+    ("2 3 binomial 0.5 7\n1 2 1 2\n", 2, "relator length 4, expected 3"),
+    ("2 3 binomial 0.5 7\n1 0 2\n", 2, "letter out of range in (1, 0, 2)"),
+    ("2 3 binomial 0.5 7\n1 -0 2\n", 2, "letter out of range in (1, 0, 2)"),
+    ("2 3 binomial 0.5 7\n1 3 2\n", 2, "letter out of range in (1, 3, 2)"),
+    ("2 3 binomial 0.5 7\n1 -3 2\n", 2, "letter out of range in (1, -3, 2)"),
+    ("2 3 binomial 0.5 7\n1 99999999999999999999 2\n", 2,
+     "letter out of range in (1, 99999999999999999999, 2)"),
+    ("2 3 binomial 0.5 7\n1 -1 2\n", 2,
+     "relator (1, -1, 2) is not cyclically reduced"),
+    ("2 3 binomial 0.5 7\n1 2 -1\n", 2,
+     "relator (1, 2, -1) is not cyclically reduced"),
+    ("2 3 positive 0.5 7\n1 -2 1\n", 2,
+     "negative letter in positive model: (1, -2, 1)"),
+    # within one line, range is checked before reduction and sign
+    ("2 3 positive 0.5 7\n1 -1 5\n", 2, "letter out of range in (1, -1, 5)"),
+    ("2 3 positive 0.5 7\n-1 1 2\n", 2,
+     "relator (-1, 1, 2) is not cyclically reduced"),
+    # blank lines count, tabs, trailing spaces and carriage returns separate
+    ("2 3 binomial 0.5 7\n\n1 2 1\n  \n\t\n1 -1 2\n", 6,
+     "relator (1, -1, 2) is not cyclically reduced"),
+    ("2 3 binomial 0.5 7\n1\t2  1 \r\n 2 1 2\t\n1 1 0   \n", 4,
+     "letter out of range in (1, 1, 0)"),
+    ("2 3 binomial 0.5 7\n1 2 1\n2 -1", 3, "relator length 2, expected 3"),
+    ("2 3 binomial 0.5 7\n1 2 1\n2 1 -2", 3,
+     "relator (2, 1, -2) is not cyclically reduced"),
+    # the first bad line wins over a later one with another fault
+    ("2 3 binomial 0.5 7\n1 2 1\n1 2 -2\n1 2\n1 5 1\n", 3,
+     "relator (1, 2, -2) is not cyclically reduced"),
+    ("2 3 binomial 0.5 7\n1 2 1\n1 2\n1 2 -2\nx\n", 3,
+     "relator length 2, expected 3"),
+    ("2 3 binomial 0.5 7\n1 2 1\n1 9 1\n1 y 1\n", 3,
+     "letter out of range in (1, 9, 1)"),
+]
+
+
 def test_file_errors_carry_line_numbers():
-    bad = io.StringIO("2 3 binomial 0.5\n")  # four header fields
-    with pytest.raises(PresentationFormatError) as err:
-        load_presentation(bad)
-    assert err.value.lineno == 1
+    for text, lineno, message in LOADER_FAULTS:
+        with pytest.raises(PresentationFormatError) as err:
+            load_presentation(io.StringIO(text))
+        assert err.value.lineno == lineno, text
+        assert str(err.value) == f"line {lineno}: {message}", text
 
-    bad = io.StringIO("2 3 binomial 0.5 7\n1 2\n")  # wrong length
-    with pytest.raises(PresentationFormatError) as err:
-        load_presentation(bad)
-    assert err.value.lineno == 2
 
-    bad = io.StringIO("2 3 binomial 0.5 7\n1 -1 2\n")  # not cyclically reduced
-    with pytest.raises(PresentationFormatError) as err:
-        load_presentation(bad)
-    assert err.value.lineno == 2
+BODY_LAYOUTS = [
+    ("", ()),
+    ("\n\n  \n", ()),
+    ("1 2 1", ((1, 2, 1),)),
+    ("\t2  1 2 \r\n\n1 2 1\n", ((1, 2, 1), (2, 1, 2))),
+    ("2 1 2\n1 2 1\n2 1 2\n", ((1, 2, 1), (2, 1, 2))),
+    # tokens int() accepts beyond plain digits keep loading
+    ("+1 02 1\n-2\x0c-1 -2\n", ((1, 2, 1), (-2, -1, -2))),
+]
 
-    bad = io.StringIO("2 3 positive 0.5 7\n1 -2 1\n")
-    with pytest.raises(PresentationFormatError):
-        load_presentation(bad)
+
+@pytest.mark.parametrize("body, rows", BODY_LAYOUTS)
+def test_file_body_layouts_load(body, rows):
+    pres = load_presentation(io.StringIO("2 3 binomial 0.5 7\n" + body))
+    assert pres.relators == rows
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_file_errors_across_parse_blocks(monkeypatch, block):
+    # the body is parsed in blocks of lines; line numbers and the
+    # first-bad-line rule must not depend on where blocks split
+    monkeypatch.setattr(model, "_LOAD_BLOCK", block)
+    test_file_errors_carry_line_numbers()
+    for body, rows in BODY_LAYOUTS:
+        test_file_body_layouts_load(body, rows)
+    test_file_round_trip()
 
 
 def test_make_presentation_validation():
@@ -272,3 +341,68 @@ def test_positive_presentations_positive(m, ell, p, seed):
     pres = sample_positive(ModelParams(m, ell, p, seed))
     assert pres.all_positive
     assert len(pres) <= m**ell
+
+
+# ------------------------------------------------------------ golden bytes
+# sha256 prefixes of relator_matrix.tobytes() and of the saved file,
+# for fixed seeds; any change to the sampler's draws, dedup, word order
+# or file layout shows here
+
+def _digest(pres):
+    buf = io.StringIO()
+    save_presentation(pres, buf)
+    return (len(pres),
+            hashlib.sha256(pres.relator_matrix.tobytes()).hexdigest()[:16],
+            hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16])
+
+
+GOLDEN_SAMPLES = [
+    # enumerated small universes
+    ("binomial", 3, 4, 0.3, 11, 193, "f2bc4aeba5d75d9f", "8a27a78decc7ec2b"),
+    ("positive", 4, 3, 0.5, 21, 29, "51f167a606f7d8fa", "05bc860929ea766f"),
+    ("uniform_count", 2, 3, 0.9, 31, 19, "448db6e0231c63d8",
+     "b996b3d7119dd27c"),
+    # rejection sampling with many duplicate draws
+    ("binomial", 3, 6, 0.45, 12, 6990, "aaa29426d5cdb329", "b8b7c8fbae40e236"),
+    ("positive", 5, 6, 0.45, 22, 7012, "788f53779cb38bca", "1ddbb57142e2fbc8"),
+    ("binomial", 5000, 1, 0.3, 16, 2981, "bea9ab5dee7cc21f",
+     "fa056f1f5d186af8"),
+    # one key column; (2m)^ell just below 2^63 at m=10^6, ell=3
+    ("binomial", 500, 4, 1e-8, 13, 9882, "2db2ffafcef7ceb4", "9e898256adf5a231"),
+    ("binomial", 10**6, 3, 1e-15, 15, 7898, "bb88d482c46de7b2",
+     "52d186e9126e27f3"),
+    ("uniform_count", 100, 4, 0.4, 32, 4766, "5fdaac0503db0e11",
+     "150b0038d77e1f48"),
+    # two key columns: (2m)^ell > 2^63
+    ("binomial", 10**4, 5, 3e-18, 14, 9577, "046d4f9f3e1abf4e",
+     "201565f18856c7db"),
+    ("positive", 3000, 6, 2e-17, 23, 14672, "83fe6c82f53e8e61",
+     "d4eda05479555827"),
+]
+
+
+@pytest.mark.parametrize("tag, m, ell, param, seed, n, mat_hash, file_hash",
+                         GOLDEN_SAMPLES)
+def test_golden_sampler_bytes(tag, m, ell, param, seed, n, mat_hash,
+                              file_hash):
+    pres = sample(tag, ModelParams(m, ell, param, seed))
+    assert _digest(pres) == (n, mat_hash, file_hash)
+    buf = io.StringIO()
+    save_presentation(pres, buf)
+    buf.seek(0)
+    assert load_presentation(buf) == pres
+
+
+def test_golden_make_presentation_bytes():
+    # unsorted input with repeats, one key column and two
+    rng = make_rng(41)
+    pool = enumerate_cyclically_reduced(3, 4)
+    words = [pool[i] for i in rng.integers(0, len(pool), size=300)]
+    assert _digest(make_presentation(3, 4, words)) == (
+        233, "753006e6aa23fcc3", "e0e44f520215b93e")
+
+    rels = sample("binomial", ModelParams(10**4, 5, 3e-18, 14)).relators
+    rng = make_rng(42)
+    words = [rels[i] for i in rng.integers(0, len(rels), size=2 * len(rels))]
+    assert _digest(make_presentation(10**4, 5, words)) == (
+        8246, "d408b77ce982afbe", "b5aff9f96c3650ff")
