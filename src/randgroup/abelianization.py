@@ -125,10 +125,7 @@ def smith_normal_form(M) -> tuple[int, ...]:
     then make the pivot divide the rest of the submatrix before moving
     on. Termination: every disturbance strictly shrinks the pivot.
     """
-    if isinstance(M, np.ndarray):
-        A = [[int(x) for x in row] for row in M]
-    else:
-        A = [[int(x) for x in row] for row in M]
+    A = [[int(x) for x in row] for row in M]
     n = len(A)
     m = len(A[0]) if n else 0
     diags: list[int] = []

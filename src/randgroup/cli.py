@@ -19,12 +19,13 @@ from fractions import Fraction
 from .abelianization import abelian_invariants
 from .errors import (BudgetExceededError, CapExceededError, DomainError,
                      PresentationFormatError)
-from .experiments import ALL_ANALYSES, Budgets, SweepConfig, sweep
-from .fa_certificates import DEFAULT_EPSILON, fa_verdict
+from .experiments import (ALL_ANALYSES, Budgets, SweepConfig,
+                          decide_verdict, sweep)
+from .fa_certificates import DEFAULT_EPSILON
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
-from .model import (MODEL_TAGS, ModelParams, load_presentation, sample,
-                    save_presentation)
+from .model import (MODEL_TAGS, ModelParams, euler_characteristic,
+                    load_presentation, sample, save_presentation)
 from .words import iter_cyclically_reduced, word_to_text
 
 
@@ -87,7 +88,7 @@ def _cmd_sample(args) -> int:
 def _cmd_analyze(args) -> int:
     pres = _load(args.file)
     _emit({"m": pres.m, "ell": pres.ell, "model": pres.model_tag,
-           "n_relators": len(pres), "chi": 1 - pres.m + len(pres),
+           "n_relators": len(pres), "chi": euler_characteristic(pres),
            "all_positive": pres.all_positive,
            "diagnostics": diagnostics(pres).to_json_dict()})
     print(f"m={pres.m} ell={pres.ell} |R|={len(pres)}", file=sys.stderr)
@@ -107,7 +108,8 @@ def _cmd_certify_free(args) -> int:
 
 def _cmd_check_fa(args) -> int:
     pres = _load(args.file)
-    report = fa_verdict(pres, eps=_parse_eps(args.epsilon))
+    eps = _parse_eps(args.epsilon)
+    report = decide_verdict(pres, eps, Budgets()).fa_report(eps)
     _emit(report.to_json_dict())
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return 0

@@ -24,7 +24,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from .errors import (BudgetExceededError, DomainError, NoCrossingError,
                      NonMonotoneTrendError)
 from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
                               SL_SCAN_LIMIT, VERDICT_FA, VERDICT_FREE,
-                              VERDICT_SPLITS, VERDICT_UNKNOWN, check_L_exact,
+                              VERDICT_SPLITS, VERDICT_UNKNOWN, FAReport,
+                              LWitness, SLWitness, check_L_exact,
                               check_SL_exact, unused_generators)
-from .freeness import EliminationCertificate, certify_free
+from .freeness import EliminationCertificate, StuckReport, certify_free
 from .hypergraph import diagnostics
-from .model import (MODEL_TAGS, ModelParams, density_to_p, p_to_density,
-                    sample)
+from .model import (MODEL_TAGS, ModelParams, Presentation, density_to_p,
+                    euler_characteristic, p_to_density, sample)
 
 Z95 = 1.959963984540054
 
@@ -69,6 +70,79 @@ class Budgets:
         if self.sl_max_m > SL_SCAN_LIMIT:
             raise DomainError(f"budget sl_max_m={self.sl_max_m} exceeds the "
                               f"split scan limit {SL_SCAN_LIMIT}")
+
+
+def _holds(result) -> Optional[bool]:
+    return None if result is None else result == "holds"
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What decided a verdict. A search result is "holds", a witness,
+    or None when the search did not run or raised."""
+    certificate: Union[EliminationCertificate, StuckReport]
+    unused: tuple[int, ...]
+    l_result: Union[str, LWitness, None]
+    sl_result: Union[str, SLWitness, None]
+    verdict: str
+    skipped: tuple[str, ...]
+    budget_errors: tuple[str, ...]
+
+    def fa_report(self, eps=DEFAULT_EPSILON) -> FAReport:
+        """The check-fa report; a skipped or aborted search blanks both."""
+        eps = Fraction(eps)
+        exceeded = bool(self.skipped or self.budget_errors)
+        l_res = None if exceeded else self.l_result
+        sl_res = None if exceeded else self.sl_result
+        cert = self.certificate if self.verdict == VERDICT_FREE else None
+        return FAReport(
+            verdict=self.verdict, free_certificate=cert,
+            rank=cert.final_rank if cert else None,
+            unused_generators=() if cert else self.unused,
+            l_holds=_holds(l_res), sl_holds=_holds(sl_res),
+            l_witness=l_res if isinstance(l_res, LWitness) else None,
+            sl_witness=sl_res if isinstance(sl_res, SLWitness) else None,
+            epsilon=eps, exploratory_epsilon=eps != DEFAULT_EPSILON,
+            budget_exceeded=exceeded)
+
+
+def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
+                   budgets: Budgets = Budgets(),
+                   run_fa: bool = True) -> Decision:
+    """The verdict cascade: free, then a free splitting, then FA.
+
+    The two searches are defined for all-positive relators only and run
+    within the size gates of ``budgets``; every other presentation, and
+    every gated or aborted search, leaves the verdict Unknown.
+    """
+    cert = certify_free(pres)
+    unused = unused_generators(pres)
+    free = isinstance(cert, EliminationCertificate)
+    skipped, budget_errors = [], []
+
+    def search(name, m_limit, check, **kwargs):
+        if pres.m > m_limit:
+            skipped.append(name)
+            return None
+        try:
+            return check(pres, eps, **kwargs)
+        except BudgetExceededError:
+            budget_errors.append(name)
+            return None
+
+    l_res = sl_res = None
+    if not run_fa:
+        skipped.append("fa")
+    elif not (free or unused) and pres.all_positive:
+        l_res = search("check_L_exact", budgets.l_max_m, check_L_exact,
+                       budget=budgets.l_nodes)
+        sl_res = search("check_SL_exact", budgets.sl_max_m, check_SL_exact,
+                        max_m=budgets.sl_max_m)
+    verdict = (VERDICT_FREE if free else VERDICT_SPLITS if unused
+               else VERDICT_FA if l_res == "holds" and sl_res == "holds"
+               else VERDICT_UNKNOWN)
+    return Decision(cert, unused, l_res, sl_res, verdict, tuple(skipped),
+                    tuple(budget_errors))
 
 
 @dataclass(frozen=True)
@@ -186,13 +260,10 @@ def run_trial(model: str, params: ModelParams,
     """Sample one presentation and run the enabled analysis stack."""
     t0 = time.perf_counter()
     pres = sample(model, params)
-    m = pres.m
+    decision = decide_verdict(pres, eps, budgets, "fa" in analyses)
+    free = decision.verdict == VERDICT_FREE
     skipped: list[str] = []
     budget_errors: list[str] = []
-
-    cert = certify_free(pres)
-    free = isinstance(cert, EliminationCertificate)
-    unused = unused_generators(pres)
 
     diag = None
     if "diagnostics" in analyses:
@@ -209,56 +280,22 @@ def run_trial(model: str, params: ModelParams,
     else:
         skipped.append("abelianization")
 
-    l_holds: Optional[bool] = None
-    sl_holds: Optional[bool] = None
-    if "fa" in analyses:
-        if free or unused or not pres.all_positive:
-            pass  # verdict settled structurally; searches not needed
-        else:
-            if m <= budgets.l_max_m:
-                try:
-                    l_holds = check_L_exact(pres, eps,
-                                            budget=budgets.l_nodes) == "holds"
-                except BudgetExceededError:
-                    budget_errors.append("check_L_exact")
-            else:
-                skipped.append("check_L_exact")
-            if m <= budgets.sl_max_m:
-                try:
-                    sl_holds = check_SL_exact(
-                        pres, eps, max_m=budgets.sl_max_m) == "holds"
-                except BudgetExceededError:
-                    budget_errors.append("check_SL_exact")
-            else:
-                skipped.append("check_SL_exact")
-    else:
-        skipped.append("fa")
-
-    if free:
-        verdict = VERDICT_FREE
-    elif unused:
-        verdict = VERDICT_SPLITS
-    elif l_holds and sl_holds:
-        verdict = VERDICT_FA
-    else:
-        verdict = VERDICT_UNKNOWN
-
     return TrialRecord(
         point_index=point_index,
         trial_index=trial_index,
         seed=params.seed,
         n_relators=len(pres),
-        chi=1 - m + len(pres),
+        chi=euler_characteristic(pres),
         free=free,
-        final_rank=cert.final_rank if free else None,
-        unused_count=len(unused),
+        final_rank=decision.certificate.final_rank if free else None,
+        unused_count=len(decision.unused),
         surjects_Z=surj,
-        l_holds=l_holds,
-        sl_holds=sl_holds,
-        verdict=verdict,
+        l_holds=_holds(decision.l_result),
+        sl_holds=_holds(decision.sl_result),
+        verdict=decision.verdict,
         diagnostics=diag,
-        skipped=tuple(skipped),
-        budget_errors=tuple(budget_errors),
+        skipped=tuple(skipped) + decision.skipped,
+        budget_errors=tuple(budget_errors) + decision.budget_errors,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -404,7 +441,8 @@ def _sweep_task(args):
 def sweep(config: SweepConfig, workers: int = 1,
           csv_path: Optional[str] = None,
           jsonl_path: Optional[str] = None) -> SweepResult:
-    """Run the full grid; byte-identical output for any worker count."""
+    """Run the full grid; byte-identical output for any worker count,
+    except the measured ``wall_time`` of each JSONL record."""
     config.validate()
     points = config.points()
     tasks = [(config, points, pi, ti)

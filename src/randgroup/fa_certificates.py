@@ -11,13 +11,13 @@ unmatched split is the witness.
 
 Both hold together only in genuinely crowded relator sets, and in
 that situation the group has a fixed point for every action on a
-tree. The composite verdict orders the cheap structural outcomes
-first: a freeness certificate wins, then unused generators (which
-give a free splitting), then the two searches.
+tree. ``experiments.decide_verdict`` runs them after the cheap
+structural outcomes, and ``Decision.fa_report`` maps its result to
+the ``FAReport`` that ``check-fa`` prints.
 
 The search spaces are exponential in the worst case; node budgets
-turn runaway instances into a typed error, which the composite
-verdict reports as an unknown with a flag rather than an answer.
+turn runaway instances into a typed error, which the verdict cascade
+reports as an unknown with a flag rather than an answer.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .freeness import EliminationCertificate, certify_free
+from .freeness import EliminationCertificate
 from .model import Presentation
 
 DEFAULT_EPSILON = Fraction(1, 100)
@@ -320,42 +320,3 @@ def unused_generators(pres: Presentation) -> tuple[int, ...]:
     if len(mat):
         used[np.abs(mat).ravel()] = True
     return tuple(int(g) for g in range(1, pres.m + 1) if not used[g])
-
-
-def fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
-    """Composite verdict, cheap structure first.
-
-    A freeness certificate beats everything; unused generators come
-    next and witness a free splitting; both exhaustive conditions
-    passing certify a fixed point for tree actions. The two searches
-    are only meaningful for all-positive relators, so signed
-    presentations that fail the first two stages come back Unknown.
-    """
-    eps = _as_eps(eps)
-    exploratory = eps != DEFAULT_EPSILON
-    cert = certify_free(pres)
-    if isinstance(cert, EliminationCertificate):
-        return FAReport(verdict=VERDICT_FREE, rank=cert.final_rank,
-                        free_certificate=cert, epsilon=eps,
-                        exploratory_epsilon=exploratory)
-    unused = unused_generators(pres)
-    if unused:
-        return FAReport(verdict=VERDICT_SPLITS, unused_generators=unused,
-                        epsilon=eps, exploratory_epsilon=exploratory)
-    if not pres.all_positive:
-        return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,
-                        exploratory_epsilon=exploratory)
-    try:
-        l_res = check_L_exact(pres, eps)
-        sl_res = check_SL_exact(pres, eps)
-    except BudgetExceededError:
-        return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,
-                        exploratory_epsilon=exploratory, budget_exceeded=True)
-    l_ok = l_res == "holds"
-    sl_ok = sl_res == "holds"
-    return FAReport(
-        verdict=VERDICT_FA if l_ok and sl_ok else VERDICT_UNKNOWN,
-        l_holds=l_ok, sl_holds=sl_ok,
-        l_witness=None if l_ok else l_res,
-        sl_witness=None if sl_ok else sl_res,
-        epsilon=eps, exploratory_epsilon=exploratory)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .model import Presentation
-from .words import Word, word_key
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,6 @@ class StuckReport:
         }
 
 
-def find_elimination(
-    relators: Iterable[Word],
-    active_generators: Optional[Iterable[int]] = None,
-) -> Optional[tuple[int, Word]]:
-    """Smallest generator with a single occurrence overall, with its relator.
-
-    Returns None when every generator occurs zero or at least two times.
-    """
-    rels = list(relators)
-    counts = Counter(abs(x) for r in rels for x in r)
-    allowed = None if active_generators is None else set(active_generators)
-    candidates = [g for g, c in counts.items()
-                  if c == 1 and (allowed is None or g in allowed)]
-    if not candidates:
-        return None
-    g = min(candidates)
-    # the single occurrence pins the relator
-    r = next(r for r in rels if any(abs(x) == g for x in r))
-    return g, r
-
-
 def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
     """Run the elimination to completion or to a stuck state.
 
@@ -132,20 +111,20 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
         return EliminationCertificate(steps=(), final_rank=m)
 
     mat = pres.relator_matrix
-    gens = np.abs(mat).astype(np.int64)
-    flat = gens.ravel()
+    flat = np.abs(mat).astype(np.int64).ravel()
     counts = np.bincount(flat, minlength=m + 1)
+    heap = np.flatnonzero(counts == 1).tolist()  # ascending, so a heap
+    counts = counts.tolist()
     rid_of_cell = np.repeat(np.arange(k0, dtype=np.int64), pres.ell)
     # int64, because a float64 sum of ids is exact only while
     # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
     rid_sum = np.zeros(m + 1, dtype=np.int64)
     np.add.at(rid_sum, flat, rid_of_cell)
+    rid_sum = rid_sum.tolist()  # Python ints: a step updates ell entries
 
     active_gen = np.ones(m + 1, dtype=bool)
     active_gen[0] = False
     active_rel = np.ones(k0, dtype=bool)
-    heap = [g for g in range(1, m + 1) if counts[g] == 1]
-    heapq.heapify(heap)
 
     steps: list[tuple[int, Word]] = []
     remaining = k0
@@ -161,17 +140,19 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
             rem_gens = tuple(int(v) for v in np.nonzero(active_gen)[0])
             return StuckReport(rem_matrix, rem_gens,
                                reason="no admissible generator-relator pair")
-        rid = int(rid_sum[g])
-        row = gens[rid]
-        steps.append((g, tuple(int(x) for x in mat[rid])))
-        np.subtract.at(counts, row, 1)
-        np.subtract.at(rid_sum, row, rid)
+        rid = rid_sum[g]
+        word = mat[rid].tolist()
+        steps.append((g, tuple(word)))
+        row = [abs(x) for x in word]
+        for x in row:
+            counts[x] -= 1
+            rid_sum[x] -= rid
         active_gen[g] = False
         active_rel[rid] = False
         remaining -= 1
-        for cand in np.unique(row):
+        for cand in set(row):
             if active_gen[cand] and counts[cand] == 1:
-                heapq.heappush(heap, int(cand))
+                heapq.heappush(heap, cand)
 
     return EliminationCertificate(steps=tuple(steps), final_rank=m - k0)
 
@@ -205,25 +186,3 @@ def replay_certificate(pres: Presentation, cert: EliminationCertificate) -> bool
     if remaining:
         return False
     return cert.final_rank == pres.m - len(pres)
-
-
-def naive_certify(pres: Presentation) -> EliminationCertificate | StuckReport:
-    """Reference elimination built directly on find_elimination.
-
-    Kept as the slow mirror of certify_free; tests hold the two equal
-    on random presentations.
-    """
-    rels = list(pres.relators)
-    active = set(range(1, pres.m + 1))
-    steps: list[tuple[int, Word]] = []
-    while rels:
-        hit = find_elimination(rels, active)
-        if hit is None:
-            matrix = np.array(sorted(rels, key=word_key), dtype=np.int64)
-            return StuckReport(matrix, tuple(sorted(active)),
-                               reason="no admissible generator-relator pair")
-        g, r = hit
-        steps.append((g, r))
-        rels.remove(r)
-        active.discard(g)
-    return EliminationCertificate(steps=tuple(steps), final_rank=pres.m - len(pres))

@@ -28,21 +28,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DomainError, LengthMismatchError
+from .errors import DomainError
 from .model import Presentation, key_runs, row_keys
-from .words import Word
-
-
-def classify_type(r: Word, ell: int) -> int:
-    """1, 2, or 3 by the number of distinct generators in the relator."""
-    if len(r) != ell:
-        raise LengthMismatchError(f"relator length {len(r)}, expected {ell}")
-    distinct = len({abs(x) for x in r})
-    if distinct == ell:
-        return 3
-    if distinct == ell - 1:
-        return 2
-    return 1
 
 
 def _identity(column: np.ndarray) -> np.ndarray:
@@ -79,20 +66,6 @@ class SupportHypergraph:
     @property
     def n_edges(self) -> int:
         return self._gens_sorted.shape[0]
-
-    def edge_types(self) -> np.ndarray:
-        """Type (1/2/3) of each relator, aligned with presentation rows."""
-        d = self._distinct
-        out = np.ones(len(d), dtype=np.int64)
-        out[d == self.ell - 1] = 2
-        out[d == self.ell] = 3
-        return out
-
-    def support(self, relator_id: int) -> frozenset[int]:
-        return frozenset(int(g) for g in self._gens_sorted[relator_id])
-
-    def edges(self) -> list[tuple[int, frozenset[int]]]:
-        return [(i, self.support(i)) for i in range(self.n_edges)]
 
     def uniform_edge_rows(self) -> np.ndarray:
         """The type-3 edges as an (n3, ell) matrix of distinct sorted vertices."""
@@ -135,15 +108,6 @@ def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray
     rank = np.empty(len(first_vertex), dtype=np.int64)
     rank[np.argsort(first_vertex)] = np.arange(len(first_vertex))
     return len(first_vertex), rank[raw]
-
-
-def components(h: SupportHypergraph) -> list[list[int]]:
-    """Partition of {1..m} into connected components of the uniform part."""
-    n, labels = _component_labels(h.m, h.uniform_edge_rows())
-    out: list[list[int]] = [[] for _ in range(n)]
-    for v in range(h.m):
-        out[labels[v]].append(v + 1)
-    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from functools import partial
+from typing import IO
 
 import numpy as np
 
@@ -193,9 +194,6 @@ class Presentation:
 
     def __len__(self) -> int:
         return self.relator_matrix.shape[0]
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.relators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presentation):
@@ -422,38 +420,28 @@ def _finish(params: ModelParams, tag: str, matrix: np.ndarray,
                         matrix, tuple(notes))
 
 
-def sample_binomial(params: ModelParams) -> Presentation:
-    """Each cyclically reduced word of length ell is a relator with probability p."""
+def _sample_bernoulli(params: ModelParams, positive: bool) -> Presentation:
+    """Each word of the universe is a relator with probability p: the
+    cyclically reduced words of length ell, or with ``positive`` the
+    m^ell positive words."""
     m, ell, p = params.m, params.ell, params.param
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability must lie in [0,1], got {p}")
+    tag = "positive" if positive else "binomial"
     rng = make_rng(params.seed)
     notes: list[str] = []
-    n_universe = universe_size(m, ell)
+    n_universe = universe_size(m, ell, positive)
     if n_universe <= SMALL_UNIVERSE_MAX:
-        universe = _enumerate_universe_matrix(m, ell, positive=False)
+        universe = _enumerate_universe_matrix(m, ell, positive)
         mask = rng.random(n_universe) < p
-        return _finish(params, "binomial", universe[mask], notes)
+        return _finish(params, tag, universe[mask], notes)
     k = _draw_relator_count(n_universe, p, rng, notes)
-    matrix = _sample_distinct(m, ell, k, False, rng)
-    return _finish(params, "binomial", matrix, notes)
+    matrix = _sample_distinct(m, ell, k, positive, rng)
+    return _finish(params, tag, matrix, notes)
 
 
-def sample_positive(params: ModelParams) -> Presentation:
-    """Each of the m^ell positive words is a relator with probability p."""
-    m, ell, p = params.m, params.ell, params.param
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0,1], got {p}")
-    rng = make_rng(params.seed)
-    notes: list[str] = []
-    n_universe = universe_size(m, ell, positive=True)
-    if n_universe <= SMALL_UNIVERSE_MAX:
-        universe = _enumerate_universe_matrix(m, ell, positive=True)
-        mask = rng.random(n_universe) < p
-        return _finish(params, "positive", universe[mask], notes)
-    k = _draw_relator_count(n_universe, p, rng, notes)
-    matrix = _sample_distinct(m, ell, k, True, rng)
-    return _finish(params, "positive", matrix, notes)
+sample_binomial = partial(_sample_bernoulli, positive=False)
+sample_positive = partial(_sample_bernoulli, positive=True)
 
 
 def uniform_count_size(m: int, ell: int, d: float) -> int:

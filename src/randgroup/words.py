@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CapExceededError, EmptyWordError, NotCyclicallyReducedError
+from .errors import CapExceededError, EmptyWordError
 
 Word = tuple[int, ...]
 
@@ -119,26 +119,6 @@ def enumerate_cyclically_reduced(
     return out
 
 
-def rotations(word: Word) -> list[Word]:
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
-def canonical_class(word: Word) -> Word:
-    """Lexicographically least word among all rotations of the word and of its inverse.
-
-    This is a canonical representative of the relator's equivalence class
-    (the group relation is unchanged by cyclic rotation and by inversion).
-    Requires a cyclically reduced input; rotations then stay cyclically
-    reduced, so the minimum is well defined within the class.
-    """
-    if len(word) == 0:
-        raise EmptyWordError("empty word")
-    if not is_cyclically_reduced(word):
-        raise NotCyclicallyReducedError(f"word {word} is not cyclically reduced")
-    candidates = rotations(word) + rotations(inverse_word(word))
-    return min(candidates, key=word_key)
-
-
 def word_to_text(word: Word) -> str:
     """Space-separated signed integers, the on-disk relator format."""
     return " ".join(str(x) for x in word)
@@ -155,13 +135,3 @@ def word_from_text(text: str) -> Word:
         raise ValueError(f"malformed word text {text!r}") from exc
     validate_word(word)
     return word
-
-
-def word_to_names(word: Word) -> str:
-    """Readable rendering for small m: letters a, b, c... with ^-1 for inverses."""
-    pieces = []
-    for x in word:
-        g = abs(x) - 1
-        name = chr(ord("a") + g) if g < 26 else f"s{g + 1}"
-        pieces.append(name if x > 0 else name + "^-1")
-    return " ".join(pieces)

@@ -27,8 +27,9 @@ from randgroup.experiments import (
     trial_seed,
     wilson_interval,
 )
-from randgroup.fa_certificates import fa_verdict
-from randgroup.model import ModelParams
+from randgroup.model import ModelParams, sample
+
+from oracles import reference_fa_verdict
 
 
 def mk_config(**kw):
@@ -106,8 +107,7 @@ def test_trial_surjection_budget_error_recorded(monkeypatch):
 def test_trial_verdict_matches_composite(m, p, seed):
     params = ModelParams(m=m, ell=3, param=p, seed=seed)
     rec = run_trial("positive", params)
-    rep = fa_verdict(__import__("randgroup.model", fromlist=["sample"])
-                     .sample("positive", params))
+    rep = reference_fa_verdict(sample("positive", params))
     assert rec.verdict == rep.verdict
     assert rec.chi == 1 - m + rec.n_relators
 

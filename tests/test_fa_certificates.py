@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from randgroup.abelianization import surjects_onto_Z
 from randgroup.errors import BudgetExceededError, DomainError
+from randgroup.experiments import Budgets, decide_verdict
 from randgroup.fa_certificates import (
     FAReport,
     LWitness,
@@ -19,7 +20,6 @@ from randgroup.fa_certificates import (
     VERDICT_UNKNOWN,
     check_L_exact,
     check_SL_exact,
-    fa_verdict,
     unused_generators,
     verify_L_witness,
     verify_SL_witness,
@@ -27,11 +27,20 @@ from randgroup.fa_certificates import (
 from randgroup.freeness import EliminationCertificate, certify_free
 from randgroup.model import ModelParams, make_presentation, sample_positive
 
+from oracles import reference_fa_verdict
+
 EPS = Fraction(1, 100)
 
 
 def all_positive_words(m, ell):
     return [w for w in product(range(1, m + 1), repeat=ell)]
+
+
+def cascade_report(pres, eps=EPS):
+    """The check-fa report of the verdict cascade, held to the reference."""
+    rep = decide_verdict(pres, eps, Budgets()).fa_report(eps)
+    assert rep == reference_fa_verdict(pres, eps)
+    return rep
 
 
 def set_size(eps, m):
@@ -212,7 +221,7 @@ def test_monotone_under_more_relators(pres, data):
 # ------------------------------------------------------------- verdicts
 
 def test_verdict_free():
-    rep = fa_verdict(make_presentation(3, 3, [(1, 2, 3)]))
+    rep = cascade_report(make_presentation(3, 3, [(1, 2, 3)]))
     assert rep.verdict == VERDICT_FREE
     assert rep.rank == 2
     assert isinstance(rep.free_certificate, EliminationCertificate)
@@ -220,13 +229,13 @@ def test_verdict_free():
 
 def test_verdict_free_beats_splitting():
     # one eliminable generator plus two unused ones: freeness wins
-    rep = fa_verdict(make_presentation(4, 3, [(1, 2, 1)]))
+    rep = cascade_report(make_presentation(4, 3, [(1, 2, 1)]))
     assert rep.verdict == VERDICT_FREE
     assert rep.rank == 3
 
 
 def test_verdict_splits():
-    rep = fa_verdict(make_presentation(4, 3, [(1, 1, 1)]))
+    rep = cascade_report(make_presentation(4, 3, [(1, 1, 1)]))
     assert rep.verdict == VERDICT_SPLITS
     assert rep.unused_generators == (2, 3, 4)
     assert unused_generators(make_presentation(4, 3, [(1, 1, 1)])) == (2, 3, 4)
@@ -234,7 +243,7 @@ def test_verdict_splits():
 
 def test_verdict_fa_on_full_cube():
     pres = make_presentation(2, 3, all_positive_words(2, 3))
-    rep = fa_verdict(pres)
+    rep = cascade_report(pres)
     assert rep.verdict == VERDICT_FA
     assert rep.l_holds and rep.sl_holds
     assert not surjects_onto_Z(pres)
@@ -242,7 +251,7 @@ def test_verdict_fa_on_full_cube():
 
 def test_verdict_unknown_with_budget_flag():
     pres = make_presentation(23, 3, [tuple([g] * 3) for g in range(1, 24)])
-    rep = fa_verdict(pres)
+    rep = cascade_report(pres)
     assert rep.verdict == VERDICT_UNKNOWN
     assert rep.budget_exceeded
 
@@ -250,15 +259,15 @@ def test_verdict_unknown_with_budget_flag():
 def test_verdict_unknown_for_signed_non_free():
     pres = make_presentation(2, 4, [(1, 1, -2, -2), (2, 2, -1, -1),
                                     (1, 2, 1, 2), (2, 1, 2, 1)])
-    rep = fa_verdict(pres)
+    rep = cascade_report(pres)
     assert rep.verdict == VERDICT_UNKNOWN
     assert rep.l_holds is None and rep.sl_holds is None
 
 
 def test_exploratory_epsilon_flag():
     pres = make_presentation(2, 3, all_positive_words(2, 3))
-    assert not fa_verdict(pres).exploratory_epsilon
-    assert fa_verdict(pres, eps=Fraction(1, 3)).exploratory_epsilon
+    assert not cascade_report(pres).exploratory_epsilon
+    assert cascade_report(pres, eps=Fraction(1, 3)).exploratory_epsilon
 
 
 def test_witness_json_round_trips():
@@ -266,7 +275,7 @@ def test_witness_json_round_trips():
     assert LWitness.from_json_dict(lw.to_json_dict()) == lw
     sw = SLWitness(U=(2,), V=(1, 3))
     assert SLWitness.from_json_dict(sw.to_json_dict()) == sw
-    rep = fa_verdict(make_presentation(3, 3, [(1, 2, 3)]))
+    rep = cascade_report(make_presentation(3, 3, [(1, 2, 3)]))
     d = rep.to_json_dict()
     assert d["verdict"] == VERDICT_FREE
     assert d["epsilon"] == "1/100"
@@ -284,7 +293,7 @@ def test_soundness_over_random_presentations():
             for seed in range(60):
                 pres = sample_positive(
                     ModelParams(m=m, ell=ell, param=p, seed=seed))
-                rep = fa_verdict(pres)
+                rep = cascade_report(pres)
                 cert = certify_free(pres)
                 n_seen += 1
                 free_positive = (isinstance(cert, EliminationCertificate)

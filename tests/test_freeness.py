@@ -11,11 +11,11 @@ from randgroup.freeness import (
     EliminationCertificate,
     StuckReport,
     certify_free,
-    find_elimination,
-    naive_certify,
     replay_certificate,
 )
 from randgroup.model import ModelParams, make_presentation, sample_binomial
+
+from oracles import find_elimination, naive_certify
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ from randgroup.errors import (
     NotCyclicallyReducedError,
 )
 from randgroup.words import (
-    canonical_class,
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
     inverse_word,
@@ -24,6 +23,8 @@ from randgroup.words import (
     word_key,
     word_to_text,
 )
+
+from oracles import canonical_class
 
 
 # Independent oracle: enumerate by filtering the full cartesian product.
