@@ -21,7 +21,7 @@ from .errors import (BudgetExceededError, CapExceededError, DomainError,
                      PresentationFormatError)
 from .experiments import (ALL_ANALYSES, Budgets, SweepConfig,
                           decide_verdict, sweep)
-from .fa_certificates import DEFAULT_EPSILON
+from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
 from .model import (MODEL_TAGS, ModelParams, euler_characteristic,
@@ -109,7 +109,9 @@ def _cmd_certify_free(args) -> int:
 def _cmd_check_fa(args) -> int:
     pres = _load(args.file)
     eps = _parse_eps(args.epsilon)
-    report = decide_verdict(pres, eps, Budgets()).fa_report(eps)
+    # the report blanks L whenever SL is skipped, so L is gated with SL
+    report = decide_verdict(pres, eps,
+                            Budgets(l_max_m=SL_MAX_M)).fa_report(eps)
     _emit(report.to_json_dict())
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return 0

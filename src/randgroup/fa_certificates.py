@@ -17,7 +17,10 @@ the ``FAReport`` that ``check-fa`` prints.
 
 The search spaces are exponential in the worst case; node budgets
 turn runaway instances into a typed error, which the verdict cascade
-reports as an unknown with a flag rather than an answer.
+reports as an unknown with a flag rather than an answer. At the last
+relator position the letter search counts its candidate sets in closed
+form instead of walking them, since none of them can be a witness
+there; the budget still counts every one of them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional, Union
 
 import numpy as np
@@ -151,6 +155,12 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     and shrinking that overlap only helps the search, so the scan
     visits minimal overlaps alone; this keeps it exact while skipping
     almost all of the raw choose(m, s)^ell space.
+
+    At the last position every minimal overlap holds a generator of a
+    still-compatible relator, so none completes a witness: those
+    candidates are counted with a binomial coefficient, not walked.
+    ``budget`` bounds the number of candidate sets, the counted ones
+    included, exactly as a search walking every one of them would.
     """
     eps = _as_eps(eps)
     m, ell = pres.m, pres.ell
@@ -184,37 +194,41 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
             g += 1
         return tuple(out)
 
-    def dfs(i: int, compatible: int, chosen: list) -> Optional[list]:
+    def visit(count: int) -> None:
         nonlocal nodes
+        nodes += count
+        if nodes > budget:
+            raise BudgetExceededError(
+                "check_L_exact", budget,
+                f"search exceeded {budget} nodes at m={m}, s={s}")
+
+    def dfs(i: int, compatible: int) -> Optional[list]:
+        # the witness sets for positions i.. when one exists
         if compatible == 0:
-            return chosen + [default_set] * (ell - i)
-        if i == ell:
-            return None
+            return [default_set] * (ell - i)
         if (i, compatible) in dead:
             return None
         live = {g: bm for g, bm in masks[i].items() if bm & compatible}
         t_min = s - (m - len(live))
         if t_min <= 0:
-            v_i = pad(live, s)
-            return chosen + [v_i] + [default_set] * (ell - i - 1)
-        filler = pad(live, s - t_min)
-        for T in combinations(sorted(live), t_min):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    "check_L_exact", budget,
-                    f"search exceeded {budget} nodes at m={m}, s={s}")
-            hit = 0
-            for g in T:
-                hit |= live[g]
-            got = dfs(i + 1, compatible & hit,
-                      chosen + [tuple(sorted(T + filler))])
-            if got is not None:
-                return got
+            return [pad(live, s)] + [default_set] * (ell - i - 1)
+        if i == ell - 1:
+            # every candidate holds a live generator, so some relator
+            # stays compatible through the last position: count them
+            visit(comb(len(live), t_min))
+        else:
+            for T in combinations(sorted(live), t_min):
+                visit(1)
+                hit = 0
+                for g in T:
+                    hit |= live[g]
+                got = dfs(i + 1, compatible & hit)
+                if got is not None:
+                    return [tuple(sorted(T + pad(live, s - t_min)))] + got
         dead.add((i, compatible))
         return None
 
-    found = dfs(0, full, [])
+    found = dfs(0, full)
     if found is None:
         return "holds"
     return LWitness(sets=tuple(found))

@@ -2,22 +2,26 @@
 
 Each one is the plain, definitional version of something the package
 computes a faster way: the verdict cascade as ``check-fa`` first wrote
-it, generator elimination by rescanning the relators, relator types,
+it, the letter-condition search that walks every candidate set,
+generator elimination by rescanning the relators, relator types,
 hypergraph supports and components, and the canonical relator class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from itertools import combinations
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from randgroup.errors import (BudgetExceededError, EmptyWordError,
                               LengthMismatchError, NotCyclicallyReducedError)
-from randgroup.fa_certificates import (DEFAULT_EPSILON, VERDICT_FA,
-                                       VERDICT_FREE, VERDICT_SPLITS,
-                                       VERDICT_UNKNOWN, FAReport, _as_eps,
+from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
+                                       VERDICT_FA, VERDICT_FREE,
+                                       VERDICT_SPLITS, VERDICT_UNKNOWN,
+                                       FAReport, LWitness, _as_eps,
+                                       _position_letters, _set_size,
                                        check_L_exact, check_SL_exact,
                                        unused_generators)
 from randgroup.freeness import (EliminationCertificate, StuckReport,
@@ -67,6 +71,70 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
         l_witness=None if l_ok else l_res,
         sl_witness=None if sl_ok else sl_res,
         epsilon=eps, exploratory_epsilon=exploratory)
+
+
+# ----------------------------------------------------- letter condition
+
+def reference_check_L(pres: Presentation, eps=DEFAULT_EPSILON,
+                      mode: str = "positive_letters",
+                      budget: int = L_NODE_BUDGET
+                      ) -> tuple[Union[str, LWitness], int]:
+    """The letter-condition search walking every candidate set.
+
+    Same search, memo and witness as ``check_L_exact``, but the last
+    position loops over its candidate sets one by one instead of
+    counting them. Returns the result with the number of candidate sets
+    visited, the quantity ``budget`` bounds.
+    """
+    eps = _as_eps(eps)
+    m, ell = pres.m, pres.ell
+    s = _set_size(eps, m)
+    letters = _position_letters(pres, mode)
+    k = len(letters)
+    default_set = tuple(range(1, s + 1))
+    if k == 0:
+        return LWitness(sets=(default_set,) * ell), 0
+
+    masks = [{} for _ in range(ell)]
+    for i in range(ell):
+        for rid, g in enumerate(letters[:, i].tolist()):
+            masks[i][g] = masks[i].get(g, 0) | (1 << rid)
+
+    nodes = 0
+    dead: set[tuple[int, int]] = set()
+
+    def pad(avoid: dict, count: int) -> tuple[int, ...]:
+        return tuple(g for g in range(1, m + 1) if g not in avoid)[:count]
+
+    def dfs(i: int, compatible: int, chosen: list) -> Optional[list]:
+        nonlocal nodes
+        if compatible == 0:
+            return chosen + [default_set] * (ell - i)
+        if i == ell or (i, compatible) in dead:
+            return None
+        live = {g: bm for g, bm in masks[i].items() if bm & compatible}
+        t_min = s - (m - len(live))
+        if t_min <= 0:
+            return chosen + [pad(live, s)] + [default_set] * (ell - i - 1)
+        filler = pad(live, s - t_min)
+        for T in combinations(sorted(live), t_min):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    "check_L_exact", budget,
+                    f"search exceeded {budget} nodes at m={m}, s={s}")
+            hit = 0
+            for g in T:
+                hit |= live[g]
+            got = dfs(i + 1, compatible & hit,
+                      chosen + [tuple(sorted(T + filler))])
+            if got is not None:
+                return got
+        dead.add((i, compatible))
+        return None
+
+    found = dfs(0, (1 << k) - 1, [])
+    return ("holds" if found is None else LWitness(sets=tuple(found))), nodes
 
 
 # ---------------------------------------------------------- elimination

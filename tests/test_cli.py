@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from randgroup import experiments
 from randgroup.cli import main
 from randgroup.hypergraph import diagnostics
 from randgroup.model import load_presentation
@@ -92,6 +93,20 @@ def test_check_fa_exploratory_epsilon(tmp_path, capsys):
     assert doc["exploratory_epsilon"] is True
     code, _, _ = run(capsys, "check-fa", path, "--epsilon", "7/5")
     assert code == 2
+
+
+def test_check_fa_skips_L_with_SL(tmp_path, capsys, monkeypatch):
+    # at 22 < m <= 30 the report blanks L anyway, so L must not run
+    target = str(tmp_path / "m25.pres")
+    run(capsys, "sample", "-m", "25", "-l", "3", "--p", "0.05",
+        "--model", "positive", "--seed", "1", "-o", target)
+    calls = []
+    monkeypatch.setattr(experiments, "check_L_exact",
+                        lambda *a, **k: calls.append(a))
+    code, out, _ = run(capsys, "check-fa", target)
+    assert code == 0 and calls == []
+    doc = json.loads(out)
+    assert doc["budget_exceeded"] is True and doc["l_holds"] is None
 
 
 def test_abelianize_output(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randgroup.abelianization import surjects_onto_Z
@@ -25,9 +25,11 @@ from randgroup.fa_certificates import (
     verify_SL_witness,
 )
 from randgroup.freeness import EliminationCertificate, certify_free
-from randgroup.model import ModelParams, make_presentation, sample_positive
+from randgroup.model import (ModelParams, make_presentation, sample,
+                             sample_positive)
+from randgroup.words import is_cyclically_reduced
 
-from oracles import reference_fa_verdict
+from oracles import reference_check_L, reference_fa_verdict
 
 EPS = Fraction(1, 100)
 
@@ -199,6 +201,84 @@ def test_SL_matches_naive(pres, eps):
     else:
         assert isinstance(got, SLWitness)
         assert verify_SL_witness(pres, got, eps)
+
+
+@st.composite
+def wider_presentations(draw, signed):
+    m = draw(st.integers(min_value=1, max_value=6))
+    ell = draw(st.integers(min_value=1, max_value=4))
+    letters = ([g for g in range(-m, m + 1) if g] if signed
+               else list(range(1, m + 1)))
+    words = draw(st.lists(st.lists(st.sampled_from(letters), min_size=ell,
+                                   max_size=ell).map(tuple),
+                          max_size=40))
+    return make_presentation(m, ell,
+                             [w for w in words if is_cyclically_reduced(w)])
+
+
+def check_L_against_reference(pres, eps, mode):
+    """Same result and witness as the reference, and the same budget
+    cut-off: its node count passes and one node fewer raises."""
+    want, nodes = reference_check_L(pres, eps, mode)
+    assert check_L_exact(pres, eps, mode) == want
+    assert check_L_exact(pres, eps, mode, budget=nodes) == want
+    if nodes:
+        with pytest.raises(BudgetExceededError):
+            check_L_exact(pres, eps, mode, budget=nodes - 1)
+    return nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(wider_presentations(signed=False),
+       st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]))
+# the last position is reached twice with the same compatible relators,
+# so the dead memo must skip its second count
+@example(make_presentation(3, 3, [(1, 2, 3), (1, 3, 2), (1, 3, 3),
+                                  (2, 2, 2), (3, 2, 1)]), Fraction(1, 2))
+def test_L_matches_reference_search(pres, eps):
+    check_L_against_reference(pres, eps, "positive_letters")
+
+
+@settings(max_examples=100, deadline=None)
+@given(wider_presentations(signed=True),
+       st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]))
+def test_L_support_matches_reference_search(pres, eps):
+    check_L_against_reference(pres, eps, "support")
+
+
+# m, p, seed of sample("positive", ...) at eps = 1/3, with the number of
+# candidate sets the reference search visits (None: past the default budget)
+GOLDEN_L = [
+    (8, 0.3, 0, 116_636),
+    (8, 0.5, 0, 177_898),
+    (10, 0.12, 0, 121_896),
+    (10, 0.15, 1, 407_579),
+    (12, 0.12, 0, 102_788),
+    (12, 0.18, 2, 294_393),
+    (12, 0.18, 1, None),
+]
+
+
+@pytest.mark.parametrize("m, p, seed, nodes", GOLDEN_L)
+def test_golden_L_against_reference(m, p, seed, nodes):
+    pres = sample("positive", ModelParams(m, 3, p, seed))
+    eps = Fraction(1, 3)
+    if nodes is None:
+        with pytest.raises(BudgetExceededError):
+            reference_check_L(pres, eps)
+        with pytest.raises(BudgetExceededError):
+            check_L_exact(pres, eps)
+        return
+    assert check_L_against_reference(pres, eps, "positive_letters") == nodes
+
+
+def test_golden_L_holds_past_default_budget():
+    # the reference search visits 9 305 310 candidate sets here
+    pres = sample("positive", ModelParams(10, 3, 0.7, 0))
+    eps = Fraction(1, 3)
+    assert check_L_exact(pres, eps, budget=9_305_310) == "holds"
+    with pytest.raises(BudgetExceededError):
+        check_L_exact(pres, eps, budget=9_305_309)
 
 
 @settings(max_examples=120, deadline=None)
