@@ -50,6 +50,7 @@ import numpy as np
 from ._modrank import (_MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red,
                        rank_mod_p, rank_mod_p_stream)
 from .errors import BudgetExceededError, CapExceededError
+from .hypergraph import build
 from .model import Presentation
 
 # exact integer elimination is the default up to this many generators
@@ -90,29 +91,25 @@ def exponent_matrix(pres: Presentation) -> np.ndarray:
         raise CapExceededError(
             f"dense exponent matrix would hold {k * pres.m} entries")
     out = np.zeros((k, pres.m), dtype=np.int64)
-    if k:
-        rows, cols, vals = _exponent_entries(pres)
-        out[rows, cols] = vals
+    rows, cols, vals, _ = _exponent_entries(pres)
+    out[rows, cols] = vals
     return out
 
 
-def _exponent_entries(pres: Presentation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse triplets (relator id, generator index 0-based, exponent),
-    zero exponents dropped, row ids ascending."""
-    mat = pres.relator_matrix
-    k = len(mat)
-    if k == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    rid = np.repeat(np.arange(k, dtype=np.int64), pres.ell)
-    gen = (np.abs(mat) - 1).astype(np.int64).ravel()
-    sign = np.where(mat > 0, 1.0, -1.0).ravel()
-    key = rid * pres.m + gen
-    uniq, inverse = np.unique(key, return_inverse=True)
-    sums = np.bincount(inverse, weights=sign)
-    vals = np.rint(sums).astype(np.int64)
+def _exponent_entries(pres: Presentation) -> tuple[np.ndarray, ...]:
+    """Sparse triplets (relator id, generator index 0-based, exponent)
+    sorted by (row, column), zero exponents dropped, and the pointer
+    bounding each nonzero row's entries. Each run of equal generators
+    in an incidence-index row sums its signs into one exponent."""
+    index = build(pres)
+    start = np.flatnonzero(index.run_starts)
+    vals = np.add.reduceat(index.signs.ravel(), start, dtype=np.int64)
     keep = vals != 0
-    return uniq[keep] // pres.m, uniq[keep] % pres.m, vals[keep]
+    start = start[keep]
+    rows = start // pres.ell
+    cols = index.gens.ravel()[start].astype(np.int64) - 1
+    row_ptr = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(rows))
+    return rows, cols, vals[keep], row_ptr
 
 
 # ------------------------------------------------------------- Smith form
@@ -303,23 +300,25 @@ class IntegerRowBasis:
 
 # ----------------------------------------------------- rank / surjection
 
-def _dense_rows(entries, ids: np.ndarray, m: int) -> np.ndarray:
-    rows, cols, vals = entries
-    member = np.isin(rows, ids)
-    local = np.searchsorted(ids, rows[member])
-    out = np.zeros((len(ids), m), dtype=np.int64)
-    out[local, cols[member]] = vals[member]
+def _dense_rows(entries, lo: int, hi: int, m: int) -> np.ndarray:
+    """The nonzero exponent rows lo..hi-1 (in row order) as a dense block."""
+    _, cols, vals, row_ptr = entries
+    a, b = row_ptr[lo], row_ptr[hi]
+    out = np.zeros((hi - lo, m), dtype=np.int64)
+    local = np.repeat(np.arange(hi - lo), np.diff(row_ptr[lo:hi + 1]))
+    out[local, cols[a:b]] = vals[a:b]
     return out
 
 
-def _chunks_of_rows(entries, ids: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    for lo in range(0, len(ids), _CHUNK):
-        yield _dense_rows(entries, ids[lo:lo + _CHUNK], m)
+def _chunks_of_rows(entries, m: int) -> Iterator[np.ndarray]:
+    kn = len(entries[3]) - 1
+    for lo in range(0, kn, _CHUNK):
+        yield _dense_rows(entries, lo, min(lo + _CHUNK, kn), m)
 
 
-def _exact_rank(entries, ids: np.ndarray, m: int) -> int:
+def _exact_rank(entries, m: int) -> int:
     basis = IntegerRowBasis(m)
-    for chunk in _chunks_of_rows(entries, ids, m):
+    for chunk in _chunks_of_rows(entries, m):
         for row in chunk:
             basis.add(row)
             if basis.rank == m:
@@ -333,12 +332,11 @@ class _Peel(NamedTuple):
     rounds holds, per round, the pivot rows (local indices), their
     pivot columns and pivot exponents; seeds lists the columns that
     were resolved without a pivot, in the order they were added.
-    row_ptr bounds each nonzero row's entries, and local maps each
-    entry to its row's local index.
+    local maps each entry to its row's local index, the row's place
+    in the entries' row pointer.
     """
     rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     seeds: np.ndarray
-    row_ptr: np.ndarray
     local: np.ndarray
 
 
@@ -359,13 +357,11 @@ def _peel(entries, m: int) -> _Peel:
     their columns and exponents are kept up to date, so a row down to
     one unresolved nonzero names its column and exponent directly.
     """
-    rows, cols, vals = entries
-    start = np.flatnonzero(np.diff(rows, prepend=-1))
-    row_ptr = np.append(start, len(rows))
-    local = np.repeat(np.arange(len(start), dtype=np.int64), np.diff(row_ptr))
+    _, cols, vals, row_ptr = entries
     left = np.diff(row_ptr)
-    col_sum = np.add.reduceat(cols, start)
-    val_sum = np.add.reduceat(vals, start)
+    local = np.repeat(np.arange(len(left), dtype=np.int64), left)
+    col_sum = np.add.reduceat(cols, row_ptr[:-1])
+    val_sum = np.add.reduceat(vals, row_ptr[:-1])
     # order within a column is irrelevant: candidates are sorted below
     by_col = np.argsort(cols)
     col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
@@ -397,7 +393,7 @@ def _peel(entries, m: int) -> _Peel:
         np.subtract.at(col_sum, hit, cols[idx])
         np.subtract.at(val_sum, hit, vals[idx])
         touched = hit
-    return _Peel(rounds, np.array(seeds, dtype=np.int64), row_ptr, local)
+    return _Peel(rounds, np.array(seeds, dtype=np.int64), local)
 
 
 def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
@@ -413,7 +409,7 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     nonzero coefficients, which can only lose rank; a full-rank
     compressed core therefore proves full rank mod p, hence over ℚ.
     """
-    _, cols, vals = entries
+    _, cols, vals, row_ptr = entries
     s = len(peel.seeds)
     if s == 0:
         return m
@@ -426,8 +422,8 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     X = np.zeros((m, s), dtype=np.int64)
     X[peel.seeds, np.arange(s)] = 1
     for prow, pcol, pval in peel.rounds:
-        lo = peel.row_ptr[prow]
-        n = peel.row_ptr[prow + 1] - lo
+        lo = row_ptr[prow]
+        n = row_ptr[prow + 1] - lo
         idx = _ranges(lo, n)
         # X[pcol] is still zero, so each pivot's own entry adds nothing
         acc = np.add.reduceat(vals[idx, None] * X[cols[idx]], np.cumsum(n) - n)
@@ -435,7 +431,7 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
         inv = np.array([pow(int(u), -1, p) for u in units], dtype=np.int64)
         X[pcol] = (-(acc % p) * inv[back, None]) % p
 
-    kn = len(peel.row_ptr) - 1
+    kn = len(row_ptr) - 1
     core_row = np.ones(kn, dtype=bool)
     for prow, _, _ in peel.rounds:
         core_row[prow] = False
@@ -470,17 +466,13 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
     if len(pres) == 0:
         return ZSurjectionReport(True, True, "no_relators")
     entries = _exponent_entries(pres)
-    rows, cols, vals = entries
-    nz_ids = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
-    kn = len(nz_ids)
+    _, cols, vals, row_ptr = entries
+    kn = len(row_ptr) - 1
     if kn < m:
         return ZSurjectionReport(True, True, "fewer_nonzero_rows_than_generators")
-    col_hit = np.zeros(m, dtype=bool)
-    col_hit[cols] = True
-    if not col_hit.all():
+    if not np.bincount(cols, minlength=m).all():
         return ZSurjectionReport(True, True, "zero_exponent_column")
-    row_sums = np.bincount(rows, weights=vals.astype(np.float64))
-    if not row_sums.any():
+    if not np.add.reduceat(vals, row_ptr[:-1]).any():
         # sending every generator to 1 kills every relator
         return ZSurjectionReport(True, True, "total_exponent_sums_all_zero")
 
@@ -490,11 +482,11 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
                 "surjects_onto_Z", _DENSE_CAP,
                 f"{kn} nonzero exponent rows at m={m} need {kn * m} "
                 f"dense entries")
-        direct = _dense_rows(entries, nz_ids, m)
+        direct = _dense_rows(entries, 0, kn, m)
         if rank_mod_p(direct, PRIME_A) == m:
             return ZSurjectionReport(False, True, "full_rank_mod_p")
         if m <= RANK_EXACT_MAX:
-            rank = _exact_rank(entries, nz_ids, m)
+            rank = _exact_rank(entries, m)
             return ZSurjectionReport(rank < m, True, "integer_elimination")
         # the probe already saw every row; only the prime can be unlucky
         if rank_mod_p(direct, PRIME_B) == m:
@@ -507,13 +499,11 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
 
     if m <= RANK_EXACT_MAX:
         if kn <= _EXACT_ROW_FACTOR * m:
-            rank = _exact_rank(entries, nz_ids, m)
+            rank = _exact_rank(entries, m)
             return ZSurjectionReport(rank < m, True, "integer_elimination")
-        if rank_mod_p_stream(_chunks_of_rows(entries, nz_ids, m), m,
-                             PRIME_A) == m:
+        if rank_mod_p_stream(_chunks_of_rows(entries, m), m, PRIME_A) == m:
             return ZSurjectionReport(False, True, "full_rank_mod_p")
-        if rank_mod_p_stream(_chunks_of_rows(entries, nz_ids, m), m,
-                             PRIME_B) == m:
+        if rank_mod_p_stream(_chunks_of_rows(entries, m), m, PRIME_B) == m:
             return ZSurjectionReport(False, True, "full_rank_mod_p")
         return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
 
@@ -542,10 +532,8 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
         raise CapExceededError(
             f"dense row basis would need {m} x {min(m, len(pres))} entries; "
             f"cap is {_DENSE_CAP}")
-    entries = _exponent_entries(pres)
-    ids = np.unique(entries[0])
     basis = IntegerRowBasis(m)
-    for chunk in _chunks_of_rows(entries, ids, m):
+    for chunk in _chunks_of_rows(_exponent_entries(pres), m):
         for row in chunk:
             basis.add(row)
     diags = smith_normal_form(basis.matrix())

@@ -96,8 +96,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify_free(args) -> int:
-    pres = _load(args.file)
-    cert = certify_free(pres)
+    # the presentation, and the index it caches, go before the emit
+    cert = certify_free(_load(args.file))
     _emit(cert.to_json_dict())
     if isinstance(cert, EliminationCertificate):
         print(f"free of rank {cert.final_rank}", file=sys.stderr)
@@ -177,8 +177,6 @@ def _cmd_sweep(args) -> int:
     for key in ("ms", "ell", "model", "grid"):
         if key not in settings:
             raise DomainError(f"sweep needs {key!r} from config or flags")
-    grid = tuple(tuple(g) if isinstance(g, list) else g
-                 for g in settings["grid"])
     budget_settings = settings.get("budgets", {})
     if not isinstance(budget_settings, dict):
         raise DomainError("config budgets must be a JSON object")
@@ -186,19 +184,23 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise DomainError(f"unknown budgets keys {sorted(unknown)}")
     budgets = Budgets(**budget_settings)
-    config = SweepConfig(
-        ms=tuple(int(m) for m in settings["ms"]),
-        ell=int(settings["ell"]),
-        model=str(settings["model"]),
-        grid=grid,
-        grid_kind=kind,
-        trials=int(settings.get("trials", 20)),
-        master_seed=int(settings.get("master_seed", _default_seed())),
-        eps=_parse_eps(str(settings.get("epsilon", DEFAULT_EPSILON))),
-        analyses=frozenset(settings.get("analyses", ALL_ANALYSES)),
-        budgets=budgets,
-    )
-    config.validate()
+    try:
+        config = SweepConfig(
+            ms=tuple(int(m) for m in settings["ms"]),
+            ell=int(settings["ell"]),
+            model=str(settings["model"]),
+            grid=tuple(tuple(g) if isinstance(g, list) else g
+                       for g in settings["grid"]),
+            grid_kind=kind,
+            trials=int(settings.get("trials", 20)),
+            master_seed=int(settings.get("master_seed", _default_seed())),
+            eps=_parse_eps(str(settings.get("epsilon", DEFAULT_EPSILON))),
+            analyses=frozenset(settings.get("analyses", ALL_ANALYSES)),
+            budgets=budgets,
+        )
+        config.validate()
+    except TypeError as exc:
+        raise DomainError(f"bad config value type: {exc}") from None
     workers = args.threads if args.threads else (os.cpu_count() or 1)
     result = sweep(config, workers=workers, csv_path=args.output,
                    jsonl_path=args.jsonl)

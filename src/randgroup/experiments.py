@@ -452,7 +452,7 @@ def sweep(config: SweepConfig, workers: int = 1,
     else:
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(tasks) // (4 * workers))
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(min(workers, len(tasks))) as pool:
             records = pool.map(_sweep_task, tasks, chunksize=chunk)
     records.sort(key=lambda r: (r.point_index, r.trial_index))
     by_point: list[list[TrialRecord]] = [[] for _ in points]

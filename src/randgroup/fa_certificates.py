@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .freeness import EliminationCertificate
+from .hypergraph import build
 from .model import Presentation
 
 DEFAULT_EPSILON = Fraction(1, 100)
@@ -329,8 +330,4 @@ def verify_SL_witness(pres: Presentation, wit: SLWitness,
 
 
 def unused_generators(pres: Presentation) -> tuple[int, ...]:
-    used = np.zeros(pres.m + 1, dtype=bool)
-    mat = pres.relator_matrix
-    if len(mat):
-        used[np.abs(mat).ravel()] = True
-    return tuple(int(g) for g in range(1, pres.m + 1) if not used[g])
+    return tuple((np.flatnonzero(build(pres).counts[1:] == 0) + 1).tolist())

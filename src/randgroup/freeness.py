@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .hypergraph import build
 from .model import Presentation
 from .words import Word
 
@@ -99,7 +100,8 @@ class StuckReport:
 def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
     """Run the elimination to completion or to a stuck state.
 
-    Incidence bookkeeping is incremental: per-generator occurrence
+    Incidence bookkeeping starts from the shared incidence index
+    (hypergraph.build) and is incremental: per-generator occurrence
     totals plus the sum of relator ids over occurrences. When a
     generator's total hits 1 the id sum IS the id of its relator, so
     each step costs O(ell log m) and a million-relator presentation
@@ -111,15 +113,14 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
         return EliminationCertificate(steps=(), final_rank=m)
 
     mat = pres.relator_matrix
-    flat = np.abs(mat).astype(np.int64).ravel()
-    counts = np.bincount(flat, minlength=m + 1)
-    heap = np.flatnonzero(counts == 1).tolist()  # ascending, so a heap
-    counts = counts.tolist()
+    index = build(pres)
+    heap = np.flatnonzero(index.counts == 1).tolist()  # ascending, so a heap
+    counts = index.counts.tolist()
     rid_of_cell = np.repeat(np.arange(k0, dtype=np.int64), pres.ell)
     # int64, because a float64 sum of ids is exact only while
     # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
     rid_sum = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(rid_sum, flat, rid_of_cell)
+    np.add.at(rid_sum, index.gens.ravel(), rid_of_cell)
     rid_sum = rid_sum.tolist()  # Python ints: a step updates ell entries
 
     active_gen = np.ones(m + 1, dtype=bool)

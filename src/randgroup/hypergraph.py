@@ -1,6 +1,11 @@
-"""Relator-support hypergraph and its diagnostic statistics.
+"""The incidence index of a presentation, and its diagnostic statistics.
 
-Every relator contributes one edge: the set of generators occurring in
+``build`` makes one index per presentation and caches it there: each
+relator's letters sorted in the letter order 1 < -1 < 2 < -2 < ...,
+split into generators and signs, and each generator's occurrence count.
+Freeness, the unused generators, the exponent sums of the
+abelianization and the diagnostics below all read it. As a hypergraph,
+every relator contributes one edge: the set of generators occurring in
 it (ignoring signs). Relators are classified by how many distinct
 generators they use: type 3 uses all ell positions distinctly, type 2
 exactly ell-1, type 1 at most ell-2. The ell-uniform part consists of
@@ -23,67 +28,79 @@ in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
-from .model import Presentation, key_runs, row_keys
+from .model import Presentation, _letter_codes, key_runs, row_keys
 
 
 def _identity(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _distinct_per_row(sorted_gens: np.ndarray) -> np.ndarray:
-    if sorted_gens.shape[1] == 1:
-        return np.ones(sorted_gens.shape[0], dtype=np.int64)
-    return (np.diff(sorted_gens, axis=1) != 0).sum(axis=1) + 1
-
-
-def _supports_of_class(sorted_gens: np.ndarray, rows: np.ndarray,
-                       d: int) -> np.ndarray:
-    """Fixed-width support matrix for all rows having exactly d distinct generators."""
-    vals = sorted_gens[rows]
-    keep = np.ones(vals.shape, dtype=bool)
-    if vals.shape[1] > 1:
-        keep[:, 1:] = np.diff(vals, axis=1) != 0
-    return vals[keep].reshape(len(rows), d)
-
-
 class SupportHypergraph:
-    """Vertices 1..m; one edge per relator, the set of generators it uses."""
+    """The incidence index: vertices 1..m, one edge per relator.
 
-    def __init__(self, m: int, ell: int, gens_sorted: np.ndarray):
+    Row i of ``gens`` (int32) and ``signs`` (int8, +1 or -1) is relator
+    i's letters in the letter order, so equal generators are adjacent
+    and each row ascends with duplicates kept. ``counts[g]`` is the
+    number of occurrences of generator g. All analyses share the
+    arrays, so they are read-only.
+    """
+
+    def __init__(self, m: int, ell: int, gens: np.ndarray,
+                 signs: np.ndarray, counts: np.ndarray):
         self.m = m
         self.ell = ell
-        # per-relator sorted generator indices, duplicates retained
-        self._gens_sorted = gens_sorted
-        self._distinct = _distinct_per_row(gens_sorted) if len(gens_sorted) else \
-            np.zeros(0, dtype=np.int64)
+        for array in (gens, signs, counts):
+            array.setflags(write=False)
+        self.gens = gens
+        self.signs = signs
+        self.counts = counts
+
+    @cached_property
+    def run_starts(self) -> np.ndarray:
+        """True where a letter's generator differs from the one before it."""
+        new = np.ones(self.gens.shape, dtype=bool)
+        new[:, 1:] = self.gens[:, 1:] != self.gens[:, :-1]
+        new.setflags(write=False)
+        return new
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        """Number of distinct generators per relator."""
+        out = self.run_starts.sum(axis=1)
+        out.setflags(write=False)
+        return out
 
     @property
     def n_edges(self) -> int:
-        return self._gens_sorted.shape[0]
+        return self.gens.shape[0]
 
     def uniform_edge_rows(self) -> np.ndarray:
         """The type-3 edges as an (n3, ell) matrix of distinct sorted vertices."""
-        rows = np.nonzero(self._distinct == self.ell)[0]
-        return self._gens_sorted[rows]
+        return self.gens[self.distinct == self.ell]
 
     def class_supports(self, d: int) -> np.ndarray:
         """Supports (width d) of all edges with exactly d distinct vertices."""
-        rows = np.nonzero(self._distinct == d)[0]
-        if len(rows) == 0:
-            return np.empty((0, d), dtype=self._gens_sorted.dtype)
-        return _supports_of_class(self._gens_sorted, rows, d)
+        rows = self.distinct == d
+        return self.gens[rows][self.run_starts[rows]].reshape(-1, d)
 
 
 def build(pres: Presentation) -> SupportHypergraph:
-    gens = np.abs(pres.relator_matrix).astype(np.int64)
-    gens_sorted = np.sort(gens, axis=1) if len(gens) else gens
-    return SupportHypergraph(pres.m, pres.ell, gens_sorted)
+    """The presentation's incidence index, made on first use and cached."""
+    if pres._index is None:
+        # one sort of the letter codes orders generators and signs at once
+        codes = np.sort(_letter_codes(pres.relator_matrix), axis=1)
+        gens = (codes >> 1).astype(np.int32) + 1
+        signs = 1 - 2 * (codes & 1).astype(np.int8)
+        counts = np.bincount(gens.ravel(), minlength=pres.m + 1)
+        pres._index = SupportHypergraph(pres.m, pres.ell, gens, signs, counts)
+    return pres._index
 
 
 def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray]:
@@ -147,7 +164,7 @@ class DiagnosticsReport:
 def diagnostics(pres: Presentation) -> DiagnosticsReport:
     h = build(pres)
     m, ell = pres.m, pres.ell
-    dist = h._distinct
+    dist = h.distinct
 
     t3 = int((dist == ell).sum())
     t2 = int((dist == ell - 1).sum()) if ell >= 2 else 0
@@ -168,10 +185,7 @@ def diagnostics(pres: Presentation) -> DiagnosticsReport:
     max_comp = int(comp_sizes.max()) if m else 0
 
     # degree in the uniform part only
-    if uniform.size:
-        degree = np.bincount(uniform.ravel(), minlength=m + 1)[1:]
-    else:
-        degree = np.zeros(m, dtype=np.int64)
+    degree = np.bincount(uniform.ravel(), minlength=m + 1)[1:]
 
     nontrivial = np.unique(labels[degree >= 1])
     deg1_counts = np.bincount(labels[degree == 1], minlength=n_comp)
@@ -188,14 +202,11 @@ def diagnostics(pres: Presentation) -> DiagnosticsReport:
         matching_violations = int((vert_use >= 2).sum())
 
         lab2 = np.sort(labels[sup2 - 1], axis=1)
-        if lab2.shape[1] >= 2:
-            rep = np.diff(lab2, axis=1) == 0
-            multi_meet = len(np.unique(lab2[:, 1:][rep]))
+        keep = np.ones(lab2.shape, dtype=bool)
+        keep[:, 1:] = lab2[:, 1:] != lab2[:, :-1]
+        multi_meet = len(np.unique(lab2[:, 1:][~keep[:, 1:]]))
         # distinct (edge, component) incidences, restricted to components
         # that contain at least one uniform edge
-        keep = np.ones(lab2.shape, dtype=bool)
-        if lab2.shape[1] > 1:
-            keep[:, 1:] = np.diff(lab2, axis=1) != 0
         pairs_lab = lab2[keep]
         nontrivial_set = np.zeros(n_comp, dtype=bool)
         nontrivial_set[nontrivial] = True

@@ -164,7 +164,7 @@ class Presentation:
     """
 
     __slots__ = ("m", "ell", "model_tag", "param", "seed", "notes",
-                 "relator_matrix", "_relators")
+                 "relator_matrix", "_relators", "_index")
 
     def __init__(self, m: int, ell: int, model_tag: str, param: float,
                  seed: int, relator_matrix: np.ndarray,
@@ -179,6 +179,7 @@ class Presentation:
         self.notes = notes
         self.relator_matrix = relator_matrix
         self._relators: tuple[Word, ...] | None = None
+        self._index = None  # hypergraph.build's incidence index
 
     @property
     def relators(self) -> tuple[Word, ...]:

@@ -194,7 +194,7 @@ def classify_type(r: Word, ell: int) -> int:
 
 
 def support(h: SupportHypergraph, relator_id: int) -> frozenset[int]:
-    return frozenset(int(g) for g in h._gens_sorted[relator_id])
+    return frozenset(int(g) for g in h.gens[relator_id])
 
 
 def components(h: SupportHypergraph) -> list[list[int]]:

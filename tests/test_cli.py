@@ -214,6 +214,14 @@ def test_sweep_config_errors(tmp_path, capsys):
     cfg.write_text(json.dumps({"ms": [4], "ell": 3, "model": "binomial",
                                "grid": [0.0], "bogus": 1}))
     assert run(capsys, "sweep", "--config", str(cfg))[0] == 2
+    # values of the wrong JSON type
+    for bad in ({"ms": 5}, {"grid": 0.1}, {"trials": None},
+                {"analyses": 5}):
+        cfg.write_text(json.dumps({**SWEEP_BASE, **bad}))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                             "--threads", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 SWEEP_BASE = {"ms": [4], "ell": 3, "model": "positive", "grid": [0.05],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randgroup.abelianization as abz
+from randgroup import experiments
 from randgroup.errors import (DomainError, NoCrossingError,
                               NonMonotoneTrendError)
 from randgroup.experiments import (
@@ -147,6 +148,35 @@ def test_sweep_worker_count_invariance():
     res3 = sweep(cfg, workers=3)
     assert res1.csv_text() == res3.csv_text()
     assert [r.seed for r in res1.records] == [r.seed for r in res3.records]
+
+
+def test_sweep_pool_never_exceeds_task_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    class Context:
+        Pool = InlinePool
+
+    monkeypatch.setattr(experiments.multiprocessing, "get_context",
+                        lambda method: Context)
+    cfg = mk_config(grid=(0.01,), trials=2)
+    res = sweep(cfg, workers=64)
+    assert sizes == [2]
+    assert res.csv_text() == sweep(cfg, workers=1).csv_text()
 
 
 def test_sweep_aggregates_recomputable():

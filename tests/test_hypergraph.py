@@ -8,13 +8,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randgroup.abelianization import _exponent_entries
 from randgroup.errors import DomainError, LengthMismatchError
+from randgroup.fa_certificates import unused_generators
 from randgroup.hypergraph import build, diagnostics, verify_edge_lower_bound
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
+from randgroup.words import letter_key
 
 from oracles import classify_type, components, support
 
@@ -308,6 +311,48 @@ def test_structural_invariants(pres):
             assert sup in uniform
     flat = sorted(v for comp in components(h) for v in comp)
     assert flat == list(range(1, pres.m + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_presentations())
+@example(pres_of(3, 4, [(1, 2, -1, 3), (1, -2, -1, 2), (2, 2, 2, 2)]))
+@example(pres_of(2, 1, []))
+@example(pres_of(4, 4, []))
+def test_incidence_index_against_direct_counts(pres):
+    h = build(pres)
+    assert build(pres) is h
+    m = pres.m
+    # the index rows are the relators' letters in the letter order
+    for word, gens, signs in zip(pres.relators, h.gens, h.signs):
+        assert sorted(word, key=letter_key) == (gens * signs).tolist()
+    occurrences = Counter(abs(x) for r in pres.relators for x in r)
+    assert h.counts.tolist() == [0] + [occurrences[g] for g in range(1, m + 1)]
+    assert unused_generators(pres) == tuple(
+        sorted(set(range(1, m + 1)) - set(occurrences)))
+
+    rows, cols, vals, row_ptr = _exponent_entries(pres)
+    assert all(a.dtype == np.int64 for a in (rows, cols, vals, row_ptr))
+    assert (vals != 0).all()
+    assert (np.diff(rows * m + cols) > 0).all()  # sorted by (row, column)
+    want = {}
+    for i, word in enumerate(pres.relators):
+        for x in word:
+            want[(i, abs(x) - 1)] = want.get((i, abs(x) - 1), 0) + \
+                (1 if x > 0 else -1)
+    want = {key: e for key, e in want.items() if e}
+    assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == want
+    nonzero_rows = sorted({i for i, _ in want})
+    assert row_ptr[0] == 0 and row_ptr[-1] == len(rows)
+    assert len(row_ptr) == len(nonzero_rows) + 1
+    for j, i in enumerate(nonzero_rows):
+        assert row_ptr[j] < row_ptr[j + 1]
+        assert (rows[row_ptr[j]:row_ptr[j + 1]] == i).all()
+
+    # the arrays are shared by every analysis, so none can be written
+    for array in (h.gens, h.signs, h.counts, h.run_starts, h.distinct):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 # ---------------------------------------------------------------- sublemma
