@@ -13,14 +13,15 @@ slab copied out for cache locality, then one large product per slab to
 update the trailing block. The heavy work is that product, so
 throughput is BLAS-bound; a 10^4-square rank takes seconds.
 
-Used as the fast layer of the rational-rank decision: full rank mod p
-certifies full rank over the rationals outright, while a deficit is
-only evidence and the caller escalates.
+The one caller is the rational-rank decision, which ranks the
+compressed peeled core of the exponent matrix (abelianization's
+_core_rank) mod each of the two primes: full rank mod p certifies full
+rank over the rationals outright, while a deficit is only evidence and
+the caller escalates. A whole integer matrix is ranked through the
+reference wrapper rank_mod_p in tests/oracles.py.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -62,12 +63,8 @@ def _sweep_and_update(M: np.ndarray, L: np.ndarray, top: int, mid: int,
         M[mid:, j1:] -= L[npiv:] @ M[top:mid, j1:]
 
 
-def _eliminate(M: np.ndarray, p: int, want_basis: bool) -> tuple[int, Optional[np.ndarray]]:
-    """In-place blocked elimination of M (float64, entries in [0, p)).
-
-    Returns the rank and, when asked, a reduced row-space basis mod p
-    in echelon form.
-    """
+def _eliminate(M: np.ndarray, p: int) -> int:
+    """Rank mod p of M (float64, entries in [0, p)), eliminated in place."""
     n, m = M.shape
     if min(n, m) > _MAX_DIM:
         raise ValueError(f"dimension {min(n, m)} exceeds the exactness bound "
@@ -125,36 +122,4 @@ def _eliminate(M: np.ndarray, p: int, want_basis: bool) -> tuple[int, Optional[n
         M[:, big0:big1] = S
         if louter and big1 < m:
             _sweep_and_update(M, np.column_stack(louter), R0, r, big1, p)
-    basis = _red(M[:r], p) if want_basis else None
-    return r, basis
-
-
-def rank_mod_p(A: np.ndarray, p: int = PRIME_A) -> int:
-    """Rank of an integer matrix over the field with p elements."""
-    if A.size == 0:
-        return 0
-    M = np.ascontiguousarray(np.asarray(A, dtype=np.int64) % p, dtype=np.float64)
-    r, _ = _eliminate(M, p, want_basis=False)
     return r
-
-
-def rank_mod_p_stream(chunks: Iterable[np.ndarray], m: int,
-                      p: int = PRIME_A) -> int:
-    """Rank mod p of a tall matrix fed as row chunks.
-
-    Carries a row-space basis (at most m rows) between chunks, so
-    memory stays O(m^2 + chunk) however many rows flow through. Stops
-    as soon as the rank hits m.
-    """
-    basis: Optional[np.ndarray] = None
-    rank = 0
-    for chunk in chunks:
-        if chunk.size == 0:
-            continue
-        C = np.ascontiguousarray(
-            np.asarray(chunk, dtype=np.int64) % p, dtype=np.float64)
-        M = C if basis is None else np.vstack([basis, C])
-        rank, basis = _eliminate(M, p, want_basis=True)
-        if rank >= m:
-            return rank
-    return rank

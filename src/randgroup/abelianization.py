@@ -12,7 +12,7 @@ relators against thousands of generators:
   1. structural certificates: no relators, fewer nonzero rows than
      generators, a generator with zero exponent everywhere, or all row
      sums zero (send every generator to 1). All exact.
-  2. rank mod a prime of a peeled, compressed core (structured
+  2. rank mod PRIME_A of a peeled, compressed core (structured
      Gaussian elimination, after LaMacchia & Odlyzko and Pomerance &
      Smith). Rows with exactly one nonzero outside the resolved
      columns are pivoted there, in batched rounds; when none is left,
@@ -27,14 +27,21 @@ relators against thousands of generators:
      coefficients. Compression only ever loses rank, so a full-rank
      compressed core proves full rational rank, settling the question
      exactly. A plain row sample would not work here: with short
-     relators it misses columns outright. The core's dense part is
-     gated by the same cap as the other dense work, as a typed
-     BudgetExceededError.
-  3. exact integer elimination when the instance is small enough.
-  4. otherwise a second prime (and a fresh random compression). A
-     deficit surviving both probes is reported as non-surjection with
-     exact=False; the error probability is tiny but not zero, and the
-     report says which route decided.
+     relators it misses columns outright. The core is lossless when
+     there are kn <= m + 64 nonzero rows: it then has at most
+     kn - |C| <= |S| + 64 rows, one per bucket, so its rank mod p is
+     that of the whole matrix. Its dense part, (|S| + 64) x m buckets
+     and the m x |S| solve, is gated by the same cap as the other
+     dense work, as a typed BudgetExceededError.
+  3. exact integer elimination for m <= RANK_EXACT_MAX generators and
+     at most max(20 m, m + 64) nonzero rows.
+  4. otherwise the core mod PRIME_B, with a fresh random compression.
+     A deficit surviving both primes is reported as non-surjection
+     with exact=False; the error probability is tiny but not zero.
+     The method says "rank_deficient_mod_two_primes" when the core was
+     lossless, so only the primes can be unlucky, and
+     "aggregated_rank_deficient_mod_two_primes" when the compression
+     might also have lost rank.
 
 Smith normal form itself always runs in arbitrary-precision integers;
 intermediate growth is unbounded even for small matrices.
@@ -47,8 +54,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._modrank import (_MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red,
-                       rank_mod_p, rank_mod_p_stream)
+from ._modrank import _MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red
 from .errors import BudgetExceededError, CapExceededError
 from .hypergraph import build
 from .model import Presentation
@@ -57,7 +63,8 @@ from .model import Presentation
 RANK_EXACT_MAX = 512
 # extra buckets beyond the seed count in the compressed core
 _SUB_EXTRA = 64
-# above this many rows (relative to m) the exact fallback is skipped
+# above max(this many rows per generator, m + _SUB_EXTRA) rows the
+# exact fallback is skipped
 _EXACT_ROW_FACTOR = 20
 _DENSE_CAP = 2 * 10**8
 _CHUNK = 8192
@@ -300,20 +307,17 @@ class IntegerRowBasis:
 
 # ----------------------------------------------------- rank / surjection
 
-def _dense_rows(entries, lo: int, hi: int, m: int) -> np.ndarray:
-    """The nonzero exponent rows lo..hi-1 (in row order) as a dense block."""
-    _, cols, vals, row_ptr = entries
-    a, b = row_ptr[lo], row_ptr[hi]
-    out = np.zeros((hi - lo, m), dtype=np.int64)
-    local = np.repeat(np.arange(hi - lo), np.diff(row_ptr[lo:hi + 1]))
-    out[local, cols[a:b]] = vals[a:b]
-    return out
-
-
 def _chunks_of_rows(entries, m: int) -> Iterator[np.ndarray]:
-    kn = len(entries[3]) - 1
+    """The nonzero exponent rows, in row order, as dense blocks."""
+    _, cols, vals, row_ptr = entries
+    kn = len(row_ptr) - 1
     for lo in range(0, kn, _CHUNK):
-        yield _dense_rows(entries, lo, min(lo + _CHUNK, kn), m)
+        hi = min(lo + _CHUNK, kn)
+        a, b = row_ptr[lo], row_ptr[hi]
+        out = np.zeros((hi - lo, m), dtype=np.int64)
+        local = np.repeat(np.arange(hi - lo), np.diff(row_ptr[lo:hi + 1]))
+        out[local, cols[a:b]] = vals[a:b]
+        yield out
 
 
 def _exact_rank(entries, m: int) -> int:
@@ -405,9 +409,11 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     a unit mod p). The column change [[I, X_C], [0, I]] is unimodular
     mod p and turns the pivot block into P_C, which is triangular in
     peel order with units on its diagonal, so the rank is
-    |C| + rank(N X) over the other rows N. Those rows are summed into |S| + 64 random buckets with random
-    nonzero coefficients, which can only lose rank; a full-rank
-    compressed core therefore proves full rank mod p, hence over ℚ.
+    |C| + rank(N X) over the other rows N. Those rows are summed into
+    |S| + 64 random buckets with random nonzero coefficients, which can
+    only lose rank; a full-rank compressed core therefore proves full
+    rank mod p, hence over ℚ. With at most |S| + 64 rows in N, each
+    bucket holds at most one and the rank mod p is exact.
     """
     _, cols, vals, row_ptr = entries
     s = len(peel.seeds)
@@ -455,8 +461,7 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     # blocks of _MAX_DIM keep each product exact in float64
     for lo in range(0, m, _MAX_DIM):
         core = _red(core + B[:, lo:lo + _MAX_DIM] @ Xf[lo:lo + _MAX_DIM], p)
-    rank, _ = _eliminate(core, p, want_basis=False)
-    return m - s + rank
+    return m - s + _eliminate(core, p)
 
 
 def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
@@ -476,39 +481,18 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
         # sending every generator to 1 kills every relator
         return ZSurjectionReport(True, True, "total_exponent_sums_all_zero")
 
-    if kn <= m + _SUB_EXTRA:
-        if kn * m > _DENSE_CAP:
-            raise BudgetExceededError(
-                "surjects_onto_Z", _DENSE_CAP,
-                f"{kn} nonzero exponent rows at m={m} need {kn * m} "
-                f"dense entries")
-        direct = _dense_rows(entries, 0, kn, m)
-        if rank_mod_p(direct, PRIME_A) == m:
-            return ZSurjectionReport(False, True, "full_rank_mod_p")
-        if m <= RANK_EXACT_MAX:
-            rank = _exact_rank(entries, m)
-            return ZSurjectionReport(rank < m, True, "integer_elimination")
-        # the probe already saw every row; only the prime can be unlucky
-        if rank_mod_p(direct, PRIME_B) == m:
-            return ZSurjectionReport(False, True, "full_rank_mod_p")
-        return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
-
     peel = _peel(entries, m)
     if _core_rank(entries, peel, m, PRIME_A, 0x5EED1) == m:
         return ZSurjectionReport(False, True, "full_rank_mod_p")
-
-    if m <= RANK_EXACT_MAX:
-        if kn <= _EXACT_ROW_FACTOR * m:
-            rank = _exact_rank(entries, m)
-            return ZSurjectionReport(rank < m, True, "integer_elimination")
-        if rank_mod_p_stream(_chunks_of_rows(entries, m), m, PRIME_A) == m:
-            return ZSurjectionReport(False, True, "full_rank_mod_p")
-        if rank_mod_p_stream(_chunks_of_rows(entries, m), m, PRIME_B) == m:
-            return ZSurjectionReport(False, True, "full_rank_mod_p")
-        return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
-
+    if m <= RANK_EXACT_MAX and kn <= max(_EXACT_ROW_FACTOR * m,
+                                         m + _SUB_EXTRA):
+        rank = _exact_rank(entries, m)
+        return ZSurjectionReport(rank < m, True, "integer_elimination")
     if _core_rank(entries, peel, m, PRIME_B, 0x5EED2) == m:
         return ZSurjectionReport(False, True, "full_rank_mod_p")
+    if kn <= m + _SUB_EXTRA:
+        # the core was lossless: only the two primes can be unlucky
+        return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
     return ZSurjectionReport(True, False,
                              "aggregated_rank_deficient_mod_two_primes")
 

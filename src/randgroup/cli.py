@@ -50,7 +50,10 @@ def _emit(obj) -> None:
 
 
 def _parse_eps(text: str) -> Fraction:
-    eps = Fraction(text)
+    try:
+        eps = Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"epsilon has a zero denominator: {text}") from None
     if not 0 < eps < 1:
         raise DomainError(f"epsilon must lie in (0,1), got {text}")
     return eps

@@ -4,7 +4,8 @@ Each one is the plain, definitional version of something the package
 computes a faster way: the verdict cascade as ``check-fa`` first wrote
 it, the letter-condition search that walks every candidate set,
 generator elimination by rescanning the relators, relator types,
-hypergraph supports and components, and the canonical relator class.
+hypergraph supports and components, the canonical relator class, and
+the rank mod p of a whole dense integer matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from randgroup._modrank import PRIME_A, _eliminate
 from randgroup.errors import (BudgetExceededError, EmptyWordError,
                               LengthMismatchError, NotCyclicallyReducedError)
 from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
@@ -226,3 +228,14 @@ def canonical_class(word: Word) -> Word:
         raise NotCyclicallyReducedError(f"word {word} is not cyclically reduced")
     candidates = rotations(word) + rotations(inverse_word(word))
     return min(candidates, key=word_key)
+
+
+# ------------------------------------------------------------------ rank
+
+def rank_mod_p(A: np.ndarray, p: int = PRIME_A) -> int:
+    """Rank of a whole integer matrix over the field with p elements,
+    through the package's blocked float64 elimination."""
+    if A.size == 0:
+        return 0
+    M = np.ascontiguousarray(np.asarray(A, dtype=np.int64) % p, dtype=np.float64)
+    return _eliminate(M, p)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randgroup.abelianization as abz
-from randgroup._modrank import PRIME_A, PRIME_B, rank_mod_p
+from randgroup._modrank import PRIME_A, PRIME_B
 from randgroup.abelianization import (
     AbelianInvariants,
     IntegerRowBasis,
@@ -29,6 +29,9 @@ from randgroup.experiments import trial_seed
 from randgroup.freeness import EliminationCertificate, certify_free
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
+from randgroup.words import iter_cyclically_reduced
+
+from oracles import rank_mod_p
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +347,11 @@ def test_exact_elimination_tier():
 
 
 def test_streamed_two_prime_tier():
-    # 161 rows pushes past the exact-scan cutoff at m=8
+    # 161 rows pushes past the exact-scan cutoff at m=8, and past m + 64,
+    # so the second prime ranks a compressed core
     pres = make_presentation(8, 4, balanced_pool_words(161))
     rep = surjects_onto_Z_details(pres)
-    assert rep == ZR(True, False, "rank_deficient_mod_two_primes")
+    assert rep == ZR(True, False, "aggregated_rank_deficient_mod_two_primes")
     # the inexact verdict is in fact correct here
     assert rational_rank(exponent_matrix(pres)) < 8
 
@@ -380,24 +384,38 @@ def test_core_memory_gate_raises_typed_error(monkeypatch):
     assert err.value.limit == 1000
 
 
-def test_direct_memory_gate_raises_typed_error(monkeypatch):
-    # 50 nonzero rows at m=50 take the direct dense route: 2500 entries
-    pres = make_presentation(50, 3, [(g, g, g) for g in range(1, 51)])
-    assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
-    monkeypatch.setattr(abz, "_DENSE_CAP", 2499)
+def _band(m, extra):
+    # m cyclic band rows e_g + e_{g+1} + e_{g+3}, full rank because
+    # 1 + x + x^3 has no root of unity among its roots, plus `extra`
+    # further rows; no row has a single nonzero, so the peel needs seeds
+    rels = [(g, g % m + 1, (g + 2) % m + 1) for g in range(1, m + 1)]
+    rels += [(g, g + 2, g + 7) for g in range(1, extra + 1)]
+    return make_presentation(m, 3, rels)
+
+
+def test_lossless_core_memory_gate_raises_typed_error(monkeypatch):
+    # at most m + 64 nonzero rows: the core is ranked uncompressed, and
+    # its (s + 64) x m buckets and m x s solve are gated together
+    pres = _band(50, 10)
+    entries = abz._exponent_entries(pres)
+    s = len(abz._peel(entries, 50).seeds)
+    assert s > 0 and 50 <= len(entries[3]) - 1 <= 50 + 64
+    need = (s + 64) * 50 + 50 * s
+    monkeypatch.setattr(abz, "_DENSE_CAP", need - 1)
     with pytest.raises(BudgetExceededError) as err:
         surjects_onto_Z_details(pres)
     assert err.value.check == "surjects_onto_Z"
-    assert err.value.limit == 2499
-    monkeypatch.setattr(abz, "_DENSE_CAP", 2500)
+    assert err.value.limit == need - 1
+    monkeypatch.setattr(abz, "_DENSE_CAP", need)
     assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
 
 
 @st.composite
-def tall_presentations(draw):
-    # more than m + 64 nonzero rows, so the peeled core is compressed;
-    # rows touching two or more generators make the peel stall, and
-    # rows orthogonal to a vector v make the matrix rank deficient
+def tall_presentations(draw, extra_rows):
+    # m + extra_rows nonzero rows, for extra_rows drawn from the given
+    # (lo, hi) range: above 64 the peeled core is compressed, up to 64 it
+    # is not; rows touching two or more generators make the peel stall,
+    # and rows orthogonal to a vector v make the matrix rank deficient
     m, ell = draw(st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]))
     min_support = draw(st.integers(1, 2))
     pool = [w for w in word_pool(m, ell)
@@ -411,21 +429,27 @@ def tall_presentations(draw):
             a * b for a, b in zip(word_exponents(w, m), v)) == 0]
         if len(confined) > m + 64:
             pool = confined
-    k = draw(st.integers(m + 65, min(len(pool), m + 110)))
+    lo, hi = extra_rows
+    k = draw(st.integers(m + lo, min(len(pool), m + hi)))
     idxs = draw(st.lists(st.integers(0, len(pool) - 1),
                          min_size=k, max_size=k, unique=True))
     return make_presentation(m, ell, [pool[i] for i in idxs])
 
 
 @settings(max_examples=80, deadline=None)
-@given(tall_presentations(), st.integers(0, 2**32))
+@given(st.one_of(tall_presentations((65, 110)), tall_presentations((0, 64))),
+       st.integers(0, 2**32))
 def test_core_rank_is_a_sound_lower_bound(pres, seed):
     dense = exponent_matrix(pres)
     entries = abz._exponent_entries(pres)
     peel = abz._peel(entries, pres.m)
+    lossless = len(entries[3]) - 1 <= pres.m + 64
     for p in (PRIME_A, PRIME_B):
         rank = abz._core_rank(entries, peel, pres.m, p, seed)
         assert rank <= rank_mod_p(dense, p)
+        if lossless:
+            # one core row per bucket at most: nothing is compressed away
+            assert rank == rank_mod_p(dense, p)
         if rank == pres.m:
             assert rational_rank(dense) == pres.m
 
@@ -453,6 +477,16 @@ def _direct_deficit_above_exact_cutoff():
     rels = [(g, g, g, g) for g in range(1, 519)]
     rels += [(519, a, -520, b) for a in range(1, 5) for b in range(1, 6)]
     return make_presentation(520, 4, rels)
+
+
+def _equal_first_exponents_m3():
+    # the first 62 words whose exponents on generators 1 and 2 agree:
+    # rank <= 2, and 62 rows exceed 20 m = 60 but not m + 64 = 67
+    def ok(w):
+        e = word_exponents(w, 3)
+        return e[0] == e[1] and any(e)
+    words = [w for w in iter_cyclically_reduced(3, 4) if ok(w)][:62]
+    return make_presentation(3, 4, words)
 
 
 def _large_deficit():
@@ -488,9 +522,12 @@ GOLDEN_TIERS = [
     ("probe_exact_m8",
      lambda: make_presentation(8, 4, balanced_pool_words(150)),
      ZR(True, True, "integer_elimination")),
+    ("exact_row_edge_m3", _equal_first_exponents_m3,
+     ZR(True, True, "integer_elimination")),
     ("probe_streamed_m8",
      lambda: make_presentation(8, 4, balanced_pool_words(161)),
-     ZR(True, False, "rank_deficient_mod_two_primes")),
+     ZR(True, False, "aggregated_rank_deficient_mod_two_primes")),
+    ("band_full_m600", lambda: _band(600, 30), FULL),
     ("probe_full_m600", lambda: sample_binomial(
         ModelParams(m=600, ell=3, param=2.9e-6, seed=2026)), FULL),
     ("probe_deficit_m600", _large_deficit,

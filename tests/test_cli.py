@@ -93,6 +93,9 @@ def test_check_fa_exploratory_epsilon(tmp_path, capsys):
     assert doc["exploratory_epsilon"] is True
     code, _, _ = run(capsys, "check-fa", path, "--epsilon", "7/5")
     assert code == 2
+    code, out, err = run(capsys, "check-fa", path, "--epsilon", "1/0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_check_fa_skips_L_with_SL(tmp_path, capsys, monkeypatch):
@@ -135,6 +138,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                "--model", "uniform_count", "-o",
                str(tmp_path / "z"))[0] == 2
     assert run(capsys, "analyze", str(tmp_path / "missing.pres"))[0] == 2
+    code, out, err = run(capsys, "sweep", "--ms", "4", "-l", "3", "--model",
+                         "binomial", "--grid", "0.0", "--trials", "1",
+                         "--threads", "1", "--epsilon", "1/0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_malformed_file_reports_line(tmp_path, capsys):
@@ -216,7 +224,7 @@ def test_sweep_config_errors(tmp_path, capsys):
     assert run(capsys, "sweep", "--config", str(cfg))[0] == 2
     # values of the wrong JSON type
     for bad in ({"ms": 5}, {"grid": 0.1}, {"trials": None},
-                {"analyses": 5}):
+                {"analyses": 5}, {"epsilon": "1/0"}):
         cfg.write_text(json.dumps({**SWEEP_BASE, **bad}))
         code, out, err = run(capsys, "sweep", "--config", str(cfg),
                              "--threads", "1")
