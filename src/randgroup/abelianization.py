@@ -43,12 +43,19 @@ relators against thousands of generators:
      "aggregated_rank_deficient_mod_two_primes" when the compression
      might also have lost rank.
 
-Smith normal form itself always runs in arbitrary-precision integers;
-intermediate growth is unbounded even for small matrices.
+All exact integer work runs through one kernel, IntegerRowBasis, which
+folds rows into a lattice basis by Bezout steps, in int64 while a bound
+allows and in Python integers past it. The Smith form reuses it,
+folding rows and columns in turn. On a 2-core box a dense n x n matrix
+with entries in [-3, 3] takes about 0.001 s at n = 12, 0.01 s at 24 and
+0.15-0.25 s at 40. Entry growth then takes over: n = 50 took 10 s and
+n = 60 did not finish in 120 s, which is where a determinant-modulus
+method would have to take over.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -119,77 +126,6 @@ def _exponent_entries(pres: Presentation) -> tuple[np.ndarray, ...]:
     return rows, cols, vals[keep], row_ptr
 
 
-# ------------------------------------------------------------- Smith form
-
-def smith_normal_form(M) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, each entry dividing the next.
-
-    Plain integer pivoting: move a least-magnitude entry to the corner,
-    shrink its row and column by remainder steps until both are clear,
-    then make the pivot divide the rest of the submatrix before moving
-    on. Termination: every disturbance strictly shrinks the pivot.
-    """
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    diags: list[int] = []
-    t = 0
-    while t < n and t < m:
-        best = None
-        for i in range(t, n):
-            row = A[i]
-            for j in range(t, m):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            disturbed = False
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        At = A[t]
-                        A[i] = [a - q * b for a, b in zip(A[i], At)]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        disturbed = True
-            for j in range(t + 1, m):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        disturbed = True
-            if disturbed:
-                continue
-            d = A[t][t]
-            culprit = None
-            for i in range(t + 1, n):
-                row = A[i]
-                for j in range(t + 1, m):
-                    if row[j] % d:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            A[t] = [a + b for a, b in zip(A[t], A[culprit])]
-        diags.append(abs(A[t][t]))
-        t += 1
-    return tuple(diags)
-
-
 # ------------------------------------------- exact integer row reduction
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -216,13 +152,15 @@ class IntegerRowBasis:
     Incoming rows are folded against one stored pivot row per column
     using Bezout combinations, which are unimodular on the row pair, so
     the stored rows always generate the same lattice as everything fed
-    in. Rows live in int64 vectors while a conservative bound allows
-    it and silently promote to arbitrary precision lists beyond that.
+    in. Rows are int64 arrays, every entry below _INT64_SAFE in
+    magnitude, until a combination could cross that bound or a row
+    arrives that does not fit; from then on every row is an array of
+    Python integers, and the same expressions run on it.
     """
 
     def __init__(self, m: int):
         self.m = m
-        self.pivots: dict[int, object] = {}
+        self.pivots: dict[int, np.ndarray] = {}
         self.big = False
 
     @property
@@ -231,78 +169,101 @@ class IntegerRowBasis:
 
     def _promote(self) -> None:
         if not self.big:
-            self.pivots = {j: [int(x) for x in row]
+            self.pivots = {j: row.astype(object)
                            for j, row in self.pivots.items()}
             self.big = True
 
+    def _row(self, row) -> np.ndarray:
+        try:
+            v = np.array(row, dtype=np.int64)
+            fits = -_INT64_SAFE < v.min(initial=0) <= v.max(initial=0) \
+                < _INT64_SAFE
+        except OverflowError:
+            v, fits = np.array([int(x) for x in row], dtype=object), False
+        if not fits:
+            self._promote()
+        return v.astype(object) if self.big else v
+
+    def _widen(self, j: int, v: np.ndarray, cp: int, cv: int):
+        """Pivot j and v, promoted first if cp * |pivot| + cv * |v| might
+        reach _INT64_SAFE; below that bound np.abs cannot overflow."""
+        piv = self.pivots[j]
+        if not self.big and (cp * int(np.abs(piv).max())
+                             + cv * int(np.abs(v).max()) >= _INT64_SAFE):
+            self._promote()
+            return self.pivots[j], v.astype(object)
+        return piv, v
+
     def add(self, row) -> bool:
         """Fold one row in; True if the rank grew."""
-        if self.big:
-            v = [int(x) for x in row]
-        else:
-            v = np.asarray(row, dtype=np.int64).copy()
+        v = self._row(row)
         while True:
-            if self.big:
-                j = next((i for i, x in enumerate(v) if x), None)
-            else:
-                nz = np.nonzero(v)[0]
-                j = int(nz[0]) if len(nz) else None
-            if j is None:
+            nz = v.nonzero()[0]
+            if not len(nz):
                 return False
-            piv = self.pivots.get(j)
-            if piv is None:
-                if self.big:
-                    if v[j] < 0:
-                        v = [-x for x in v]
-                else:
-                    if v[j] < 0:
-                        v = -v
-                self.pivots[j] = v
+            j = int(nz[0])
+            if j not in self.pivots:
+                self.pivots[j] = -v if v[j] < 0 else v
                 return True
-            a = int(piv[j])
+            a = int(self.pivots[j][j])
             b = int(v[j])
             if b % a == 0:
+                # keep the pivot: a Bezout step with (x, y) = (1, 0)
+                # would rebuild it for nothing
                 q = b // a
-                if self.big:
-                    v = [x - q * y for x, y in zip(v, piv)]
-                else:
-                    bound = abs(q) * int(np.abs(piv).max()) + int(np.abs(v).max())
-                    if bound >= _INT64_SAFE:
-                        self._promote()
-                        piv = self.pivots[j]
-                        v = [int(x) - q * y for x, y in zip(v, piv)]
-                    else:
-                        v = v - q * piv
+                piv, v = self._widen(j, v, abs(q), 1)
+                v = v - q * piv
             else:
                 g, x, y = _xgcd(a, b)
                 qa, qb = a // g, b // g
-                if self.big:
-                    new_piv = [x * pa + y * vb for pa, vb in zip(piv, v)]
-                    v = [qa * vb - qb * pa for pa, vb in zip(piv, v)]
-                    self.pivots[j] = new_piv
-                else:
-                    ma = int(np.abs(piv).max())
-                    mb = int(np.abs(v).max())
-                    big_coeff = max(abs(x), abs(qb)) * ma + \
-                        max(abs(y), abs(qa)) * mb
-                    if big_coeff >= _INT64_SAFE:
-                        self._promote()
-                        piv_l = self.pivots[j]
-                        v_l = [int(t_) for t_ in v]
-                        new_piv = [x * pa + y * vb
-                                   for pa, vb in zip(piv_l, v_l)]
-                        v = [qa * vb - qb * pa
-                             for pa, vb in zip(piv_l, v_l)]
-                        self.pivots[j] = new_piv
-                    else:
-                        new_piv = x * piv + y * v
-                        v = qa * v - qb * piv
-                        self.pivots[j] = new_piv
+                piv, v = self._widen(j, v, max(abs(x), abs(qb)),
+                                     max(abs(y), abs(qa)))
+                self.pivots[j] = x * piv + y * v
+                v = qa * v - qb * piv
 
     def matrix(self) -> list[list[int]]:
         """Stored rows by pivot column; generates the input row lattice."""
-        return [[int(x) for x in self.pivots[j]]
-                for j in sorted(self.pivots)]
+        return [self.pivots[j].tolist() for j in sorted(self.pivots)]
+
+
+def _fold(rows, m: int) -> IntegerRowBasis:
+    basis = IntegerRowBasis(m)
+    for row in rows:
+        basis.add(row)
+    return basis
+
+
+# ------------------------------------------------------------- Smith form
+
+def smith_normal_form(M) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form, each entry dividing the next.
+
+    Rows and columns are reduced in turn (after Kannan & Bachem): fold
+    the rows into an IntegerRowBasis, transpose its echelon matrix, and
+    repeat until no off-diagonal entry is left. Each fold is unimodular,
+    so the lattice invariants never change. The loop ends: after the
+    first pass the leading entry sits in the corner, and each pass
+    replaces it by the gcd of its row (or column), so it divides the one
+    before. When it stays equal, its row and column are cleared, and a
+    cleared block stays cleared on later passes, so the argument repeats
+    on the rest. Last, each diagonal pair (d_i, d_j), i < j, becomes
+    (gcd, lcm), which gives the divisibility chain.
+    """
+    rows = list(M)
+    m = len(rows[0]) if rows else 0
+    while True:
+        basis = _fold(rows, m)
+        rows = basis.matrix()
+        if all(np.count_nonzero(piv) == 1 for piv in basis.pivots.values()):
+            break
+        m = len(rows)
+        rows = list(zip(*rows))
+    diags = [x for row in rows for x in row if x]
+    for i in range(len(diags)):
+        for j in range(i + 1, len(diags)):
+            g = math.gcd(diags[i], diags[j])
+            diags[i], diags[j] = g, diags[i] // g * diags[j]
+    return tuple(diags)
 
 
 # ----------------------------------------------------- rank / surjection
@@ -516,10 +477,8 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
         raise CapExceededError(
             f"dense row basis would need {m} x {min(m, len(pres))} entries; "
             f"cap is {_DENSE_CAP}")
-    basis = IntegerRowBasis(m)
-    for chunk in _chunks_of_rows(_exponent_entries(pres), m):
-        for row in chunk:
-            basis.add(row)
+    chunks = _chunks_of_rows(_exponent_entries(pres), m)
+    basis = _fold((row for chunk in chunks for row in chunk), m)
     diags = smith_normal_form(basis.matrix())
     betti = m - len(diags)
     torsion = tuple(int(d) for d in diags if d > 1)

@@ -2,7 +2,8 @@
 
 Machine-readable results (JSON, CSV) go to standard output; one-line
 human summaries go to standard error. Exit codes: 0 on success, 1 when
-an analysis blows a resource budget, 2 on usage or file-format errors.
+an analysis blows a resource budget or a sweep worker dies, 2 on usage
+or file-format errors.
 The default seed is 0 unless the RANDGROUP_SEED environment variable
 overrides it.
 """
@@ -13,15 +14,15 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
-from fractions import Fraction
 
 from .abelianization import abelian_invariants
 from .errors import (BudgetExceededError, CapExceededError, DomainError,
                      PresentationFormatError)
 from .experiments import (ALL_ANALYSES, Budgets, SweepConfig,
                           decide_verdict, sweep)
-from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M
+from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M, _as_eps
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
 from .model import (MODEL_TAGS, ModelParams, euler_characteristic,
@@ -47,16 +48,6 @@ def _load(path: str):
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _parse_eps(text: str) -> Fraction:
-    try:
-        eps = Fraction(text)
-    except ZeroDivisionError:
-        raise DomainError(f"epsilon has a zero denominator: {text}") from None
-    if not 0 < eps < 1:
-        raise DomainError(f"epsilon must lie in (0,1), got {text}")
-    return eps
 
 
 # ------------------------------------------------------------ handlers
@@ -110,8 +101,8 @@ def _cmd_certify_free(args) -> int:
 
 
 def _cmd_check_fa(args) -> int:
+    eps = _as_eps(args.epsilon)
     pres = _load(args.file)
-    eps = _parse_eps(args.epsilon)
     # the report blanks L whenever SL is skipped, so L is gated with SL
     report = decide_verdict(pres, eps,
                             Budgets(l_max_m=SL_MAX_M)).fa_report(eps)
@@ -197,7 +188,7 @@ def _cmd_sweep(args) -> int:
             grid_kind=kind,
             trials=int(settings.get("trials", 20)),
             master_seed=int(settings.get("master_seed", _default_seed())),
-            eps=_parse_eps(str(settings.get("epsilon", DEFAULT_EPSILON))),
+            eps=_as_eps(str(settings.get("epsilon", DEFAULT_EPSILON))),
             analyses=frozenset(settings.get("analyses", ALL_ANALYSES)),
             budgets=budgets,
         )
@@ -317,6 +308,9 @@ def main(argv=None) -> int:
     except PresentationFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a sweep worker died: {exc}", file=sys.stderr)
+        return 1
     except (BudgetExceededError, CapExceededError) as exc:
         _emit({"error": type(exc).__name__,
                "message": str(exc),

@@ -22,6 +22,7 @@ import json
 import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -34,7 +35,7 @@ from .errors import (BudgetExceededError, DomainError, NoCrossingError,
 from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
                               SL_SCAN_LIMIT, VERDICT_FA, VERDICT_FREE,
                               VERDICT_SPLITS, VERDICT_UNKNOWN, FAReport,
-                              LWitness, SLWitness, check_L_exact,
+                              LWitness, SLWitness, _as_eps, check_L_exact,
                               check_SL_exact, unused_generators)
 from .freeness import EliminationCertificate, StuckReport, certify_free
 from .hypergraph import diagnostics
@@ -171,6 +172,7 @@ class SweepConfig:
             raise DomainError(f"unknown grid kind {self.grid_kind!r}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
+        _as_eps(self.eps)
         unknown = set(self.analyses) - ALL_ANALYSES
         if unknown:
             raise DomainError(f"unknown analyses {sorted(unknown)}")
@@ -450,10 +452,12 @@ def sweep(config: SweepConfig, workers: int = 1,
     if workers <= 1 or len(tasks) <= 1:
         records = [_sweep_task(t) for t in tasks]
     else:
-        ctx = multiprocessing.get_context("fork")
+        # a worker that dies raises BrokenProcessPool here
         chunk = max(1, len(tasks) // (4 * workers))
-        with ctx.Pool(min(workers, len(tasks))) as pool:
-            records = pool.map(_sweep_task, tasks, chunksize=chunk)
+        with ProcessPoolExecutor(
+                min(workers, len(tasks)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            records = list(pool.map(_sweep_task, tasks, chunksize=chunk))
     records.sort(key=lambda r: (r.point_index, r.trial_index))
     by_point: list[list[TrialRecord]] = [[] for _ in points]
     for r in records:

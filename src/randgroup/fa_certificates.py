@@ -25,6 +25,7 @@ there; the budget still counts every one of them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -127,7 +128,22 @@ def _partition_cap(eps: Fraction, m: int) -> int:
 
 
 def _as_eps(eps) -> Fraction:
-    e = Fraction(eps)
+    """eps as an exact fraction strictly between 0 and 1.
+
+    Fraction expands a decimal exponent into an exact integer, which
+    takes seconds for "1e-10000000", so text is bounded before it is
+    parsed: at most 64 characters and an exponent of at most two digits.
+    """
+    if isinstance(eps, str):
+        exp = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", eps)
+        if len(eps) > 64 or (exp and int(exp.group(1)) > 99):
+            raise DomainError("epsilon must be at most 64 characters with "
+                              "an exponent of at most two digits, got "
+                              f"{eps[:24]!r}")
+    try:
+        e = Fraction(eps)
+    except ZeroDivisionError:
+        raise DomainError(f"epsilon has a zero denominator: {eps!r}") from None
     if not 0 < e < 1:
         raise DomainError(f"epsilon must lie strictly between 0 and 1, got {e}")
     return e

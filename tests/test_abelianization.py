@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -153,21 +154,60 @@ def test_smith_form_matches_minor_gcds():
         assert smith_normal_form(a) == snf_oracle(a)
 
 
+def unimodular_conjugate(rng, a, moves):
+    """u a v for products u, v of random elementary row/column moves."""
+    n, m = a.shape
+    u = np.eye(n, dtype=np.int64)
+    v = np.eye(m, dtype=np.int64)
+    for _ in range(moves):
+        if n > 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            u[i] += int(rng.integers(-2, 3)) * u[j]
+        if m > 1:
+            i, j = rng.choice(m, size=2, replace=False)
+            v[:, i] += int(rng.integers(-2, 3)) * v[:, j]
+    return u @ a @ v
+
+
 def test_smith_form_unimodular_invariance():
     rng = np.random.default_rng(7)
     for _ in range(60):
         a = random_small_matrix(rng)
-        n, m = a.shape
-        u = np.eye(n, dtype=np.int64)
-        v = np.eye(m, dtype=np.int64)
-        for _ in range(6):
-            if n > 1:
-                i, j = rng.choice(n, size=2, replace=False)
-                u[i] += int(rng.integers(-2, 3)) * u[j]
-            if m > 1:
-                i, j = rng.choice(m, size=2, replace=False)
-                v[:, i] += int(rng.integers(-2, 3)) * v[:, j]
-        assert smith_normal_form(u @ a @ v) == smith_normal_form(a)
+        assert smith_normal_form(unimodular_conjugate(rng, a, 6)) == \
+            smith_normal_form(a)
+
+
+def fraction_det(a) -> int:
+    """Determinant by exact elimination over the rationals."""
+    rows = [[Fraction(int(x)) for x in row] for row in a]
+    n = len(rows)
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if rows[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            rows[j], rows[piv] = rows[piv], rows[j]
+            det = -det
+        det *= rows[j][j]
+        for i in range(j + 1, n):
+            c = rows[i][j] / rows[j][j]
+            rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
+    return int(det)
+
+
+@pytest.mark.parametrize("n", [9, 12, 24])
+def test_dense_smith_form_past_the_minor_oracle(n):
+    a = np.random.default_rng(5).integers(-3, 4, (n, n))
+    t0 = time.perf_counter()
+    d = smith_normal_form(a)
+    assert time.perf_counter() - t0 < 10
+    det = fraction_det(a)
+    assert det != 0 and len(d) == n
+    assert math.prod(d) == abs(det)
+    assert all(d[i + 1] % d[i] == 0 for i in range(n - 1))
+    rng = np.random.default_rng(n)
+    assert smith_normal_form(unimodular_conjugate(rng, a, 2 * n)) == d
 
 
 def test_smith_form_divisibility_chain():
@@ -216,6 +256,16 @@ def test_row_basis_promotes_to_big_integers():
     want = snf_oracle([[1, 2 ** 50], [2 ** 50, 1]])
     assert want == (1, 2 ** 100 - 1)
     assert smith_normal_form(basis.matrix()) == want
+
+
+def test_row_basis_takes_a_row_beyond_int64():
+    basis = IntegerRowBasis(2)
+    assert basis.add([2 ** 70, 1])
+    assert basis.big
+    assert basis.add([3, 5])
+    assert not basis.add([2 ** 70 + 3, 6])
+    want = snf_oracle([[2 ** 70, 1], [3, 5]])
+    assert smith_normal_form(basis.matrix()) == want == (1, 5 * 2 ** 70 - 3)
 
 
 def test_row_basis_ignores_dependent_rows():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,15 @@ def test_check_fa_exploratory_epsilon(tmp_path, capsys):
     code, _, _ = run(capsys, "check-fa", path, "--epsilon", "7/5")
     assert code == 2
     code, out, err = run(capsys, "check-fa", path, "--epsilon", "1/0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_check_fa_rejects_huge_epsilon_exponent_at_once(tmp_path, capsys):
+    path = write_pres(tmp_path, "2 3 positive 1.0 0\n1 1 1\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check-fa", path, "--epsilon", "1e-10000000")
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
 

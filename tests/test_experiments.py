@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,7 +160,7 @@ def test_sweep_pool_never_exceeds_task_count(monkeypatch):
     class InlinePool:
         """Records its size and maps in this process."""
 
-        def __init__(self, n):
+        def __init__(self, n, mp_context=None):
             sizes.append(n)
 
         def __enter__(self):
@@ -168,15 +172,47 @@ def test_sweep_pool_never_exceeds_task_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
-    class Context:
-        Pool = InlinePool
-
-    monkeypatch.setattr(experiments.multiprocessing, "get_context",
-                        lambda method: Context)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
     cfg = mk_config(grid=(0.01,), trials=2)
     res = sweep(cfg, workers=64)
     assert sizes == [2]
     assert res.csv_text() == sweep(cfg, workers=1).csv_text()
+
+
+DYING_SWEEP = """
+import os, sys
+from randgroup import cli, experiments
+task = experiments._sweep_task
+def dying(args):
+    if args[3] == 1:
+        os._exit(3)
+    return task(args)
+experiments._sweep_task = dying
+sys.exit(cli.main(["sweep", "--ms", "5", "-l", "3", "--model", "binomial",
+                   "--grid", "0.01", "--trials", "4", "--threads", "2",
+                   "--analyses", "none"]))
+"""
+
+
+def test_dead_worker_fails_sweep_instead_of_hanging():
+    # in a subprocess with a timeout, so that a hang fails this test
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", DYING_SWEEP], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 30
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: a sweep worker died")
+
+
+def test_sweep_rejects_epsilon_outside_unit_interval():
+    with pytest.raises(DomainError):
+        mk_config(eps=Fraction(3, 2)).validate()
+    with pytest.raises(DomainError):
+        mk_config(eps=Fraction(0)).validate()
+    mk_config(eps=Fraction(1, 3)).validate()
 
 
 def test_sweep_aggregates_recomputable():
