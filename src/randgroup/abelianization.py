@@ -63,7 +63,7 @@ import numpy as np
 
 from ._modrank import _MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red
 from .errors import BudgetExceededError, CapExceededError
-from .hypergraph import build
+from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
 # exact integer elimination is the default up to this many generators
@@ -73,7 +73,6 @@ _SUB_EXTRA = 64
 # above max(this many rows per generator, m + _SUB_EXTRA) rows the
 # exact fallback is skipped
 _EXACT_ROW_FACTOR = 20
-_DENSE_CAP = 2 * 10**8
 _CHUNK = 8192
 
 

@@ -23,7 +23,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -45,11 +45,6 @@ from .model import (MODEL_TAGS, ModelParams, Presentation, density_to_p,
 Z95 = 1.959963984540054
 
 ALL_ANALYSES = frozenset({"diagnostics", "abelianization", "fa"})
-
-CSV_HEADER = ("m,ell,model,p,d_equiv,trials,frac_free,frac_free_ci_lo,"
-              "frac_free_ci_hi,mean_R,sd_R,frac_R_ge_3m,"
-              "frac_unused_ge_halfsqrtm,frac_surjZ,frac_L,frac_SL,frac_FA,"
-              "frac_unknown")
 
 GRID_KINDS = ("p", "density", "c_log_pow")
 
@@ -339,27 +334,22 @@ class PointSummary:
     verdict_histogram: dict
 
     def csv_row(self) -> str:
-        def num(x):
+        # int and str fields as written, the others as repr(float) or empty
+        def text(f):
+            x = getattr(self, f.name)
+            if f.type in ("int", "str"):
+                return str(x)
             return "" if x is None else repr(float(x))
 
-        return ",".join([
-            str(self.m), str(self.ell), self.model, repr(float(self.p)),
-            num(self.d_equiv), str(self.trials),
-            num(self.frac_free), num(self.frac_free_ci_lo),
-            num(self.frac_free_ci_hi), num(self.mean_R), num(self.sd_R),
-            num(self.frac_R_ge_3m), num(self.frac_unused_ge_halfsqrtm),
-            num(self.frac_surjZ), num(self.frac_L), num(self.frac_SL),
-            num(self.frac_FA), num(self.frac_unknown),
-        ])
+        return ",".join(text(f) for f in fields(self)[:-1])
 
     def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "m", "ell", "model", "p", "d_equiv", "trials", "frac_free",
-            "frac_free_ci_lo", "frac_free_ci_hi", "mean_R", "sd_R",
-            "frac_R_ge_3m", "frac_unused_ge_halfsqrtm", "frac_surjZ",
-            "frac_L", "frac_SL", "frac_FA", "frac_unknown")}
-        d["verdict_histogram"] = dict(self.verdict_histogram)
-        return d
+        return asdict(self)
+
+
+# the summary's fields are the CSV columns, in order, but for the last
+# one, verdict_histogram, which only the JSON holds
+CSV_HEADER = ",".join(f.name for f in fields(PointSummary)[:-1])
 
 
 def summarize_point(point: GridPoint, records: Sequence[TrialRecord]

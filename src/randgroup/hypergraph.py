@@ -34,8 +34,13 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .model import Presentation, _letter_codes, key_runs, row_keys
+
+
+# most entries of any dense array built per presentation: the
+# generator counts here, and the exponent matrices of abelianization
+_DENSE_CAP = 2 * 10**8
 
 
 def _identity(column: np.ndarray) -> np.ndarray:
@@ -94,6 +99,10 @@ class SupportHypergraph:
 def build(pres: Presentation) -> SupportHypergraph:
     """The presentation's incidence index, made on first use and cached."""
     if pres._index is None:
+        if pres.m + 1 > _DENSE_CAP:
+            raise CapExceededError(
+                f"generator counts would hold {pres.m + 1} entries; "
+                f"cap is {_DENSE_CAP}")
         # one sort of the letter codes orders generators and signs at once
         codes = np.sort(_letter_codes(pres.relator_matrix), axis=1)
         gens = (codes >> 1).astype(np.int32) + 1

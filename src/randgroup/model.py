@@ -25,11 +25,20 @@ word order of ``words.word_key``. One column suffices whenever
 (2m)^ell < 2^63, e.g. m = 10^4 up to ell = 4 and m = 10^6 up to ell = 3.
 The diagnostics pack supports (sorted generator sets) the same way,
 with base m + 1.
+
+A presentation file is a header line and one relator per line. Its
+rules are stated once, in ``_parse_line``. The loader takes two steps:
+numpy's parser reads a well-formed body into an int32 array, which is
+checked as a whole; any body that numpy rejects or that fails a check
+goes through ``_parse_line`` line by line, so the result, or the error
+of the first bad line, is always the one the line rules give.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import IO
@@ -47,7 +56,6 @@ from .words import (
     Word,
     count_cyclically_reduced,
     is_cyclically_reduced,
-    iter_cyclically_reduced,
     validate_word,
 )
 
@@ -373,7 +381,16 @@ def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
         n = m**ell
         grid = np.indices((m,) * ell).reshape(ell, n).T + 1
         return grid.astype(np.int32)
-    return np.array(list(iter_cyclically_reduced(m, ell)), dtype=np.int32)
+    # each reduced prefix followed by its 2m - 1 non-cancelling next
+    # codes in order, then the wrap-around condition on the last code
+    codes = np.arange(2 * m, dtype=np.int32)[:, None]
+    for _ in range(ell - 1):
+        nxt = np.tile(np.arange(2 * m - 1, dtype=np.int32), len(codes))
+        nxt += nxt >= np.repeat(codes[:, -1] ^ 1, 2 * m - 1)
+        codes = np.column_stack([np.repeat(codes, 2 * m - 1, axis=0), nxt])
+    if ell > 1:
+        codes = codes[codes[:, -1] != codes[:, 0] ^ 1]
+    return _codes_to_signed(codes)
 
 
 def _sample_distinct(m: int, ell: int, k: int, positive: bool,
@@ -483,13 +500,12 @@ def sample(model_tag: str, params: ModelParams) -> Presentation:
 # file format
 #
 # line 1:  m ell model_tag param seed
-# then one relator per line as space-separated signed integers
+# then one relator per line as whitespace-separated signed integers; a
+# token is anything int() reads, and the first bad line is reported
 
 
-# rows formatted per write call when saving, and file lines parsed per
-# array pass when loading
+# rows formatted per write call when saving
 _SAVE_BLOCK = 8192
-_LOAD_BLOCK = 1 << 15
 
 
 def save_presentation(pres: Presentation, fh: IO[str]) -> None:
@@ -547,75 +563,31 @@ def _parse_line(line: str, lineno: int, m: int, ell: int, tag: str) -> Word | No
 def _parse_body(body: str, m: int, ell: int, tag: str) -> np.ndarray:
     """The relator matrix of a file body (the lines after the header).
 
-    Lines whose tokens are -?[0-9]{1,18}, separated by spaces, tabs or
-    carriage returns, are parsed and checked as arrays over the body's
-    bytes, _LOAD_BLOCK lines at a time to bound the temporaries. Every
-    other line, and every line failing a check, goes in file order to
-    _parse_line, so the first bad line raises the same error as a
-    line-by-line parse would; a line with tokens that int() reads but
-    the array parse does not (such as "+1") still loads.
+    numpy reads a body of ell int32 tokens per non-blank line, and non-
+    ASCII characters reach it as "?". Any body it rejects, or whose rows
+    fail a check, is parsed by _parse_line, which raises the first bad
+    line's error or loads tokens such as "1_0" that numpy does not read.
     """
-    if not body.endswith("\n"):
-        body += "\n"
-    raw = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
-    line_ends = np.flatnonzero(raw == ord("\n"))
-    blocks, flagged = [], []
-    lo = 0
-    for top in range(0, len(line_ends), _LOAD_BLOCK):
-        ends = line_ends[top:top + _LOAD_BLOCK]
-        rows, bad = _parse_block(raw[lo:ends[-1] + 1], ends - lo, m, ell, tag)
-        blocks.append(rows)
-        flagged.append(bad + top)
-        lo = ends[-1] + 1
-    matrix = np.concatenate(blocks, axis=0)
-    flagged = np.concatenate(flagged)
-    if len(flagged) == 0:
-        return matrix
-    lines = body.split("\n")
-    extra = [w for i in flagged
-             if (w := _parse_line(lines[i], int(i) + 2, m, ell, tag)) is not None]
-    return np.concatenate(
-        [matrix, np.array(extra, dtype=np.int32).reshape(-1, ell)], axis=0)
-
-
-def _parse_block(raw: np.ndarray, line_ends: np.ndarray, m: int, ell: int,
-                 tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the regular, valid lines of a block of whole lines, and the
-    indices of all other non-blank lines."""
-    digit = (raw - np.uint8(ord("0"))) < 10
-    minus = raw == ord("-")
-    token = digit | minus
-    other = ~(token | (raw == ord(" ")) | (raw == ord("\t"))
-              | (raw == ord("\r")) | (raw == ord("\n")))
-    other[1:] |= minus[1:] & token[:-1]  # a minus inside a token
-    # the block ends in a newline, so every token ends inside it
-    starts = np.flatnonzero(token[1:] & ~token[:-1]) + 1
-    if token[0]:
-        starts = np.concatenate([[0], starts])
-    ends = np.flatnonzero(token[:-1] & ~token[1:]) + 1
-    neg = minus[starts]
-    n_digits = ends - starts - neg
-    line_of = np.searchsorted(line_ends, starts)
-
-    odd = np.zeros(len(line_ends), dtype=bool)
-    odd[np.searchsorted(line_ends, np.flatnonzero(other))] = True
-    odd[line_of[(n_digits < 1) | (n_digits > 18)]] = True
-
-    first = starts + neg
-    values = np.zeros(len(starts), dtype=np.int64)
-    for i in range(min(int(n_digits.max(initial=0)), 18)):
-        d = raw[np.minimum(first + i, len(raw) - 1)].astype(np.int64) - ord("0")
-        np.copyto(values, values * 10 + d, where=n_digits > i)
-    np.negative(values, out=values, where=neg)
-
-    counts = np.bincount(line_of, minlength=len(line_ends))
-    full = (counts == ell) & ~odd
-    rows = values[full[line_of]].reshape(-1, ell)
-    fault = ((rows == 0) | (np.abs(rows) > min(m, _INT32_MAX))).any(axis=1)
-    fault |= (rows[:, 1:] == -rows[:, :-1]).any(axis=1)
-    fault |= rows[:, -1] == -rows[:, 0]
-    if tag == "positive":
-        fault |= (rows < 0).any(axis=1)
-    bad = odd | ((counts != ell) & (counts != 0))
-    bad[np.flatnonzero(full)[fault]] = True
-    return rows[~fault].astype(np.int32), np.flatnonzero(bad)
+    if not body.strip():
+        return np.empty((0, ell), dtype=np.int32)
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads "2.0" as an int with only a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(body.encode("ascii", "replace")),
+                              dtype=np.int32, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        rows = None
+    if rows is not None and rows.shape[1] == ell:
+        # -2^31 is its own negation, so the range test avoids np.abs
+        top = min(m, _INT32_MAX)
+        fault = ((rows == 0) | (rows > top) | (rows < -top)).any(axis=1)
+        fault |= (rows[:, 1:] == -rows[:, :-1]).any(axis=1)
+        fault |= rows[:, -1] == -rows[:, 0]
+        if tag == "positive":
+            fault |= (rows < 0).any(axis=1)
+        if not fault.any():
+            return rows
+    words = [w for i, line in enumerate(body.split("\n"))
+             if (w := _parse_line(line, i + 2, m, ell, tag)) is not None]
+    return np.array(words, dtype=np.int32).reshape(-1, ell)

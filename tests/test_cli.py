@@ -169,6 +169,15 @@ def test_cap_error_gives_structured_json(tmp_path, capsys):
     assert json.loads(out)["error"] == "CapExceededError"
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify-free", "check-fa"])
+def test_huge_generator_count_hits_cap_before_allocating(tmp_path, capsys,
+                                                         command):
+    path = write_pres(tmp_path, "1000000000000 3 binomial 0.5 7\n1 2 1\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "CapExceededError"
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     plain = str(tmp_path / "a.pres")
     run(capsys, "sample", "-m", "4", "-l", "3", "--p", "0.05", "-o", plain)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
     is_cyclically_reduced,
+    iter_cyclically_reduced,
     word_key,
 )
 
@@ -199,6 +201,15 @@ def test_uniform_words_matrix_uniformity():
     assert res.pvalue > 1e-3
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("ell", [1, 2, 3, 6])
+def test_enumerated_universe_matches_word_iterator(m, ell):
+    universe = model._enumerate_universe_matrix(m, ell, False)
+    expected = np.array(list(iter_cyclically_reduced(m, ell)), dtype=np.int32)
+    assert universe.dtype == np.int32
+    assert np.array_equal(universe, expected)
+
+
 def test_sample_distinct_errors():
     rng = make_rng(1)
     with pytest.raises(CountExceedsUniverseError):
@@ -240,6 +251,10 @@ LOADER_FAULTS = [
     ("2 3 binomial 0.5 7\n1 -3 2\n", 2, "letter out of range in (1, -3, 2)"),
     ("2 3 binomial 0.5 7\n1 99999999999999999999 2\n", 2,
      "letter out of range in (1, 99999999999999999999, 2)"),
+    ("2 3 binomial 0.5 7\n1 -2147483648 1\n", 2,
+     "letter out of range in (1, -2147483648, 1)"),
+    ("2 3 binomial 0.5 7\n1 2147483648 1\n", 2,
+     "letter out of range in (1, 2147483648, 1)"),
     ("2 3 binomial 0.5 7\n1 -1 2\n", 2,
      "relator (1, -1, 2) is not cyclically reduced"),
     ("2 3 binomial 0.5 7\n1 2 -1\n", 2,
@@ -289,19 +304,66 @@ BODY_LAYOUTS = [
 
 @pytest.mark.parametrize("body, rows", BODY_LAYOUTS)
 def test_file_body_layouts_load(body, rows):
-    pres = load_presentation(io.StringIO("2 3 binomial 0.5 7\n" + body))
+    # an empty body must not reach numpy's "input contained no data" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pres = load_presentation(io.StringIO("2 3 binomial 0.5 7\n" + body))
     assert pres.relators == rows
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_file_errors_across_parse_blocks(monkeypatch, block):
-    # the body is parsed in blocks of lines; line numbers and the
-    # first-bad-line rule must not depend on where blocks split
-    monkeypatch.setattr(model, "_LOAD_BLOCK", block)
-    test_file_errors_carry_line_numbers()
-    for body, rows in BODY_LAYOUTS:
-        test_file_body_layouts_load(body, rows)
-    test_file_round_trip()
+# tokens and separators on both sides of numpy's and int()'s rules
+_BODY_TOKENS = ["1", "2", "-1", "-2", "3", "0", "+1", "-0", "02", "2.0",
+                "1_0", "99999999999999999999", "2147483648", "-2147483648",
+                "\u0663", "-", "x"]
+_BODY_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0"]
+
+
+@st.composite
+def _body_lines(draw, ell):
+    sep = st.sampled_from(_BODY_SEPARATORS)
+    kind = draw(st.sampled_from(["word", "word", "word", "tokens", "blank"]))
+    if kind == "blank":
+        line = "".join(draw(st.lists(sep, max_size=2)))
+    else:
+        letters = (st.sampled_from(["1", "2", "-1", "-2"]) if kind == "word"
+                   else st.sampled_from(_BODY_TOKENS))
+        size = ell if kind == "word" else draw(st.integers(0, ell + 1))
+        tokens = draw(st.lists(letters, min_size=size, max_size=size))
+        line = draw(sep) if draw(st.booleans()) else ""
+        for tok in tokens:
+            line += tok + draw(sep)
+    return line + ("\r" if draw(st.booleans()) else "")
+
+
+@st.composite
+def _bodies(draw):
+    ell = draw(st.integers(1, 3))
+    lines = draw(st.lists(_body_lines(ell), max_size=6))
+    return ell, "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bodies(), tag=st.sampled_from(["binomial", "positive"]))
+def test_loader_matches_line_by_line_parse(case, tag):
+    ell, body = case
+    m = 2
+    try:
+        words = [w for i, line in enumerate(body.split("\n"))
+                 if (w := model._parse_line(line, i + 2, m, ell, tag)) is not None]
+        expected = model._sorted_distinct_rows(
+            np.array(words, dtype=np.int32).reshape(-1, ell), m)
+    except PresentationFormatError as exc:
+        expected = str(exc)
+    try:
+        pres = load_presentation(io.StringIO(f"{m} {ell} {tag} 0.5 7\n" + body))
+        got = pres.relator_matrix
+    except PresentationFormatError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.int32 and np.array_equal(got, expected)
 
 
 def test_make_presentation_validation():
