@@ -56,6 +56,7 @@ from .words import (
     Word,
     count_cyclically_reduced,
     is_cyclically_reduced,
+    iter_cyclically_reduced,
     validate_word,
 )
 
@@ -381,16 +382,7 @@ def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
         n = m**ell
         grid = np.indices((m,) * ell).reshape(ell, n).T + 1
         return grid.astype(np.int32)
-    # each reduced prefix followed by its 2m - 1 non-cancelling next
-    # codes in order, then the wrap-around condition on the last code
-    codes = np.arange(2 * m, dtype=np.int32)[:, None]
-    for _ in range(ell - 1):
-        nxt = np.tile(np.arange(2 * m - 1, dtype=np.int32), len(codes))
-        nxt += nxt >= np.repeat(codes[:, -1] ^ 1, 2 * m - 1)
-        codes = np.column_stack([np.repeat(codes, 2 * m - 1, axis=0), nxt])
-    if ell > 1:
-        codes = codes[codes[:, -1] != codes[:, 0] ^ 1]
-    return _codes_to_signed(codes)
+    return np.array(list(iter_cyclically_reduced(m, ell)), dtype=np.int32)
 
 
 def _sample_distinct(m: int, ell: int, k: int, positive: bool,

@@ -39,7 +39,6 @@ from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
     is_cyclically_reduced,
-    iter_cyclically_reduced,
     word_key,
 )
 
@@ -199,15 +198,6 @@ def test_uniform_words_matrix_uniformity():
         counts[index[w]] += 1
     res = stats.chisquare(counts)
     assert res.pvalue > 1e-3
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("ell", [1, 2, 3, 6])
-def test_enumerated_universe_matches_word_iterator(m, ell):
-    universe = model._enumerate_universe_matrix(m, ell, False)
-    expected = np.array(list(iter_cyclically_reduced(m, ell)), dtype=np.int32)
-    assert universe.dtype == np.int32
-    assert np.array_equal(universe, expected)
 
 
 def test_sample_distinct_errors():
