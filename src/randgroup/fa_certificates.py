@@ -20,12 +20,16 @@ turn runaway instances into a typed error, which the verdict cascade
 reports as an unknown with a flag rather than an answer. At the last
 relator position the letter search counts its candidate sets in closed
 form instead of walking them, since none of them can be a witness
-there; the budget still counts every one of them.
+there. The frame at the last-but-one position takes that count itself
+for each of its candidates, from per-generator bitmasks of the letters
+the last position would see, so no search frame is opened per
+candidate; the budget still counts every one of them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -176,6 +180,10 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     At the last position every minimal overlap holds a generator of a
     still-compatible relator, so none completes a witness: those
     candidates are counted with a binomial coefficient, not walked.
+    The frame at position ell-2 takes that count for each of its own
+    candidates, OR-ing per-generator bitmasks of the generators live
+    at the last position, with no frame or dict per candidate; only a
+    one-letter search opens a frame at the last position, its root.
     ``budget`` bounds the number of candidate sets, the counted ones
     included, exactly as a search walking every one of them would.
     """
@@ -193,16 +201,16 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     # per position, per generator: bitmask of relators carrying it there
     masks = [{} for _ in range(ell)]
     for i in range(ell):
-        col = letters[:, i]
-        for rid in range(k):
-            g = int(col[rid])
+        for rid, g in enumerate(letters[:, i].tolist()):
             masks[i][g] = masks[i].get(g, 0) | (1 << rid)
+    last = masks[ell - 1]
 
     full = (1 << k) - 1
     nodes = 0
-    dead: set[tuple[int, int]] = set()
+    # per position, the compatible relator sets already searched in vain
+    dead: list[set[int]] = [set() for _ in range(ell)]
 
-    def pad(avoid: dict, count: int) -> tuple[int, ...]:
+    def pad(avoid: Container[int], count: int) -> tuple[int, ...]:
         out = []
         g = 1
         while len(out) < count:
@@ -220,19 +228,21 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
                 f"search exceeded {budget} nodes at m={m}, s={s}")
 
     def dfs(i: int, compatible: int) -> Optional[list]:
-        # the witness sets for positions i.. when one exists
-        if compatible == 0:
-            return [default_set] * (ell - i)
-        if (i, compatible) in dead:
+        # the witness sets for positions i.. when one exists; compatible
+        # is never empty, since every candidate holds a live generator
+        if compatible in dead[i]:
             return None
         live = {g: bm for g, bm in masks[i].items() if bm & compatible}
         t_min = s - (m - len(live))
         if t_min <= 0:
             return [pad(live, s)] + [default_set] * (ell - i - 1)
         if i == ell - 1:
-            # every candidate holds a live generator, so some relator
-            # stays compatible through the last position: count them
+            # only the root of a one-letter search lands here
             visit(comb(len(live), t_min))
+        elif i == ell - 2:
+            found = fold_last_position(live, compatible, t_min)
+            if found is not None:
+                return found
         else:
             for T in combinations(sorted(live), t_min):
                 visit(1)
@@ -242,7 +252,43 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
                 got = dfs(i + 1, compatible & hit)
                 if got is not None:
                     return [tuple(sorted(T + pad(live, s - t_min)))] + got
-        dead.add((i, compatible))
+        dead[i].add(compatible)
+        return None
+
+    def fold_last_position(live: dict, compatible: int,
+                           t_min: int) -> Optional[list]:
+        # the candidates T at position ell-2, each with the last position
+        # counted in place: bit h of reach[g] is set when a relator in
+        # compatible & live[g] carries h last, so the OR of reach over T
+        # holds the generators that would be live there
+        reach = {}
+        for g, bm in live.items():
+            kept = bm & compatible
+            gens = 0
+            for h, hm in last.items():
+                if hm & kept:
+                    gens |= 1 << h
+            reach[g] = gens
+        dead_last = dead[ell - 1]
+        for T in combinations(sorted(live), t_min):
+            hit = ahead = 0
+            for g in T:
+                hit |= live[g]
+                ahead |= reach[g]
+            hit &= compatible
+            if hit in dead_last:
+                visit(1)
+                continue
+            n_live = ahead.bit_count()
+            t_last = s - (m - n_live)
+            if t_last <= 0:
+                visit(1)
+                return [tuple(sorted(T + pad(live, s - t_min))),
+                        pad({h for h in last if ahead >> h & 1}, s)]
+            # T itself and the candidates it leaves at the last position;
+            # one visit raises exactly where the two in turn would
+            visit(1 + comb(n_live, t_last))
+            dead_last.add(hit)
         return None
 
     found = dfs(0, full)

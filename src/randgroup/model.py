@@ -543,7 +543,9 @@ def _parse_line(line: str, lineno: int, m: int, ell: int, tag: str) -> Word | No
     if len(w) != ell:
         raise PresentationFormatError(
             lineno, f"relator length {len(w)}, expected {ell}")
-    if any(x == 0 or abs(x) > m for x in w):
+    # letters past int32 cannot be stored in the relator matrix
+    top = min(m, _INT32_MAX)
+    if any(x == 0 or abs(x) > top for x in w):
         raise PresentationFormatError(lineno, f"letter out of range in {w}")
     if not is_cyclically_reduced(w):
         raise PresentationFormatError(lineno, f"relator {w} is not cyclically reduced")

@@ -162,6 +162,17 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify-free", "check-fa"])
+def test_letter_past_int32_reports_line(tmp_path, capsys, command):
+    # the header's m admits the letter, the int32 relator matrix does not
+    path = write_pres(tmp_path,
+                      "10000000000 3 binomial 0.5 7\n1 2147483648 1\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "line 2: letter out of range" in err
+
+
 def test_cap_error_gives_structured_json(tmp_path, capsys):
     path = write_pres(tmp_path, "300000001 3 manual 0.0 0\n1 2 3\n")
     code, out, _ = run(capsys, "abelianize", path)

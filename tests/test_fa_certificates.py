@@ -235,6 +235,14 @@ def check_L_against_reference(pres, eps, mode):
 # so the dead memo must skip its second count
 @example(make_presentation(3, 3, [(1, 2, 3), (1, 3, 2), (1, 3, 3),
                                   (2, 2, 2), (3, 2, 1)]), Fraction(1, 2))
+# one letter: the root is the last position and counts its candidates
+@example(make_presentation(3, 1, [(1,), (2,), (3,)]), Fraction(1, 2))
+# two letters: the root frame counts the last position for each candidate
+@example(make_presentation(3, 2, [(1, 2), (2, 3), (3, 1), (2, 1)]),
+         Fraction(1, 2))
+# the last position pads a witness after an earlier candidate was counted
+@example(make_presentation(2, 3, [(1, 1, 1), (1, 1, 2), (1, 2, 2),
+                                  (2, 1, 1)]), Fraction(1, 2))
 def test_L_matches_reference_search(pres, eps):
     check_L_against_reference(pres, eps, "positive_letters")
 
@@ -251,6 +259,7 @@ def test_L_support_matches_reference_search(pres, eps):
 GOLDEN_L = [
     (8, 0.3, 0, 116_636),
     (8, 0.5, 0, 177_898),
+    (8, 0.7, 0, 178_773),
     (10, 0.12, 0, 121_896),
     (10, 0.15, 1, 407_579),
     (12, 0.12, 0, 102_788),
