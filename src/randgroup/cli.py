@@ -15,13 +15,11 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
 
 from .abelianization import abelian_invariants
-from .errors import (BudgetExceededError, CapExceededError, DomainError,
-                     PresentationFormatError)
-from .experiments import (ALL_ANALYSES, Budgets, SweepConfig,
-                          decide_verdict, sweep)
+from .errors import BudgetExceededError, CapExceededError, DomainError
+from .experiments import (CONFIG_KEYS, GRID_KINDS, Budgets, SweepConfig,
+                          decide_verdict, sampler_param, sweep)
 from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M, _as_eps
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
@@ -55,17 +53,9 @@ def _emit(obj) -> None:
 def _cmd_sample(args) -> int:
     if args.m < 1 or args.ell < 1:
         raise DomainError("need -m >= 1 and -l >= 1")
-    if args.model == "uniform_count":
-        if args.p is not None:
-            raise DomainError("uniform_count takes --density, not --p")
-        param = args.density
-    elif args.density is not None:
-        from .model import density_to_p
-        param = density_to_p(args.m, args.ell, args.density)
-    else:
-        param = args.p
-        if not 0.0 <= param <= 1.0:
-            raise DomainError(f"--p must lie in [0,1], got {param}")
+    kind, value = (("p", args.p) if args.p is not None
+                   else ("density", args.density))
+    param = sampler_param(args.model, kind, value, args.m, args.ell)
     seed = _default_seed() if args.seed is None else args.seed
     pres = sample(args.model,
                   ModelParams(m=args.m, ell=args.ell, param=param, seed=seed))
@@ -120,81 +110,35 @@ def _cmd_abelianize(args) -> int:
     return 0
 
 
-def _grid_entry(kind: str, token: str):
-    if kind == "c_log_pow":
-        c, _, a = token.partition(":")
-        if not _:
-            raise DomainError(
-                f"c_log_pow grid entries look like C:A, got {token!r}")
-        return (float(c), float(a))
-    return float(token)
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _grid_list(text: str) -> list:
+    """Grid entries: numbers, and C:A read as the pair [c, a]."""
+    return [[float(x) for x in tok.split(":")] if ":" in tok else float(tok)
+            for tok in text.split(",")]
+
+
+def _name_list(text: str) -> list[str]:
+    return [] if text == "none" else text.split(",")
 
 
 def _cmd_sweep(args) -> int:
-    settings: dict = {}
+    settings = {"master_seed": _default_seed()}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             try:
-                settings = json.load(fh)
+                given = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"bad config file: {exc}") from None
-        if not isinstance(settings, dict):
+        if not isinstance(given, dict):
             raise DomainError("config file must hold a JSON object")
-    known = {"ms", "ell", "model", "grid", "grid_kind", "trials",
-             "master_seed", "epsilon", "analyses", "budgets"}
-    unknown = set(settings) - known
-    if unknown:
-        raise DomainError(f"unknown config keys {sorted(unknown)}")
-
-    # command-line flags win over config-file values
-    kind = args.grid_kind or settings.get("grid_kind", "p")
-    if args.ms is not None:
-        settings["ms"] = [int(tok) for tok in args.ms.split(",")]
-    if args.ell is not None:
-        settings["ell"] = args.ell
-    if args.model is not None:
-        settings["model"] = args.model
-    if args.grid is not None:
-        settings["grid"] = [_grid_entry(kind, tok)
-                            for tok in args.grid.split(",")]
-    if args.trials is not None:
-        settings["trials"] = args.trials
-    if args.seed is not None:
-        settings["master_seed"] = args.seed
-    if args.epsilon is not None:
-        settings["epsilon"] = args.epsilon
-    if args.analyses is not None:
-        settings["analyses"] = ([] if args.analyses == "none"
-                                else args.analyses.split(","))
-    settings["grid_kind"] = kind
-
-    for key in ("ms", "ell", "model", "grid"):
-        if key not in settings:
-            raise DomainError(f"sweep needs {key!r} from config or flags")
-    budget_settings = settings.get("budgets", {})
-    if not isinstance(budget_settings, dict):
-        raise DomainError("config budgets must be a JSON object")
-    unknown = set(budget_settings) - {f.name for f in fields(Budgets)}
-    if unknown:
-        raise DomainError(f"unknown budgets keys {sorted(unknown)}")
-    budgets = Budgets(**budget_settings)
-    try:
-        config = SweepConfig(
-            ms=tuple(int(m) for m in settings["ms"]),
-            ell=int(settings["ell"]),
-            model=str(settings["model"]),
-            grid=tuple(tuple(g) if isinstance(g, list) else g
-                       for g in settings["grid"]),
-            grid_kind=kind,
-            trials=int(settings.get("trials", 20)),
-            master_seed=int(settings.get("master_seed", _default_seed())),
-            eps=_as_eps(str(settings.get("epsilon", DEFAULT_EPSILON))),
-            analyses=frozenset(settings.get("analyses", ALL_ANALYSES)),
-            budgets=budgets,
-        )
-        config.validate()
-    except TypeError as exc:
-        raise DomainError(f"bad config value type: {exc}") from None
+        settings.update(given)
+    # the sweep flags are named by their config keys, and win over the file
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in CONFIG_KEYS and value is not None)
+    config = SweepConfig.from_json_dict(settings)
     workers = args.threads if args.threads else (os.cpu_count() or 1)
     result = sweep(config, workers=workers, csv_path=args.output,
                    jsonl_path=args.jsonl)
@@ -271,19 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-trial records as JSON lines")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: hardware parallelism)")
-    p.add_argument("--ms", default=None, help="comma-separated m values")
+    # each flag's dest is its config key, and it parses into its JSON form
+    p.add_argument("--ms", type=_int_list, default=None,
+                   help="comma-separated m values")
     p.add_argument("-l", "--ell", type=int, default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=_grid_list, default=None,
                    help="comma-separated grid entries (C:A pairs for "
                         "c_log_pow)")
     p.add_argument("--grid-kind", dest="grid_kind", default=None,
-                   choices=["p", "density", "c_log_pow"])
+                   choices=GRID_KINDS)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", dest="master_seed", type=int, default=None,
                    help="master seed (default: RANDGROUP_SEED or 0)")
     p.add_argument("--epsilon", default=None)
-    p.add_argument("--analyses", default=None,
+    p.add_argument("--analyses", type=_name_list, default=None,
                    help="comma-separated subset of "
                         "diagnostics,abelianization,fa; 'none' disables")
     p.set_defaults(func=_cmd_sweep)
@@ -305,9 +251,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PresentationFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenProcessPool as exc:
         print(f"error: a sweep worker died: {exc}", file=sys.stderr)
         return 1
@@ -317,10 +260,7 @@ def main(argv=None) -> int:
                "check": getattr(exc, "check", None),
                "limit": getattr(exc, "limit", None)})
         return 1
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,9 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,7 @@ from .freeness import EliminationCertificate, StuckReport, certify_free
 from .hypergraph import diagnostics
 from .model import (MODEL_TAGS, ModelParams, Presentation, density_to_p,
                     euler_characteristic, p_to_density, sample)
+from .words import is_integer
 
 Z95 = 1.959963984540054
 
@@ -59,8 +61,7 @@ class Budgets:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
+            if not is_integer(value) or value < 0:
                 raise DomainError(f"budget {f.name} must be a non-negative "
                                   f"integer, got {value!r}")
         if self.sl_max_m > SL_SCAN_LIMIT:
@@ -141,8 +142,24 @@ def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
                     tuple(budget_errors))
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise DomainError(message)
+
+
+def _check_keys(given, names, what: str) -> None:
+    unknown = set(given) - set(names)
+    _check(not unknown, f"unknown {what} keys {sorted(unknown)}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """The settings of a sweep; a config file holds them under
+    CONFIG_KEYS, in JSON form (see from_json_dict)."""
     ms: tuple[int, ...]
     ell: int
     model: str
@@ -154,36 +171,88 @@ class SweepConfig:
     analyses: frozenset = ALL_ANALYSES
     budgets: Budgets = field(default_factory=Budgets)
 
+    @classmethod
+    def from_json_dict(cls, settings: dict) -> "SweepConfig":
+        """The validated config of a config file's JSON object.
+
+        No value is coerced: validate sees each one as given, but
+        "budgets" read as a Budgets. Once valid, the lists read as
+        tuples, the epsilon text as a Fraction and the analyses as a set.
+        """
+        _check_keys(settings, CONFIG_KEYS, "config")
+        values = {f.name: settings[key]
+                  for f, key in zip(fields(cls), CONFIG_KEYS)
+                  if key in settings}
+        missing = [f.name for f in fields(cls) if f.name not in values
+                   and f.default is MISSING is f.default_factory]
+        _check(not missing, f"sweep config needs {missing}")
+        if "budgets" in values:
+            budgets = values["budgets"]
+            _check(isinstance(budgets, dict),
+                   "config budgets must be a JSON object")
+            _check_keys(budgets, [f.name for f in fields(Budgets)], "budgets")
+            values["budgets"] = Budgets(**budgets)
+        config = cls(**values)
+        config.validate()
+        return replace(config, ms=tuple(config.ms),
+                       grid=tuple(tuple(g) if isinstance(g, list) else g
+                                  for g in config.grid),
+                       eps=_as_eps(config.eps),
+                       analyses=frozenset(config.analyses))
+
     def validate(self) -> None:
-        if not self.ms:
-            raise DomainError("at least one generator count is required")
-        if any(m < 1 for m in self.ms):
-            raise DomainError("generator counts must be positive")
-        if self.ell < 1:
-            raise DomainError("relator length must be positive")
-        if self.model not in MODEL_TAGS or self.model == "manual":
-            raise DomainError(f"unknown sweep model {self.model!r}")
-        if self.grid_kind not in GRID_KINDS:
-            raise DomainError(f"unknown grid kind {self.grid_kind!r}")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
+        """The one check of the settings' types and ranges. Integer
+        settings are Python or numpy integers, never bools or floats;
+        lists pass where tuples are held."""
+        ms, grid, kind = self.ms, self.grid, self.grid_kind
+        _check(isinstance(ms, (list, tuple)) and len(ms) > 0
+               and all(is_integer(m) and m >= 1 for m in ms),
+               f"ms must be a non-empty list of positive integers, got {ms!r}")
+        _check(is_integer(self.ell) and self.ell >= 1,
+               f"ell must be a positive integer, got {self.ell!r}")
+        _check(self.model in MODEL_TAGS and self.model != "manual",
+               f"unknown sweep model {self.model!r}")
+        _check(kind in GRID_KINDS, f"unknown grid kind {kind!r}")
+        _check(is_integer(self.trials) and self.trials >= 1,
+               f"trials must be a positive integer, got {self.trials!r}")
+        _check(is_integer(self.master_seed) and self.master_seed >= 0,
+               "master_seed must be a non-negative integer, "
+               f"got {self.master_seed!r}")
+        # a float is rejected: 0.1 is not exactly 1/10
+        _check(isinstance(self.eps, (Fraction, str)),
+               f"epsilon must be a Fraction or a string such as '1/3', "
+               f"got {self.eps!r}")
         _as_eps(self.eps)
-        unknown = set(self.analyses) - ALL_ANALYSES
-        if unknown:
-            raise DomainError(f"unknown analyses {sorted(unknown)}")
+        _check(isinstance(self.analyses, (list, tuple, set, frozenset))
+               and all(isinstance(a, str) and a in ALL_ANALYSES
+                       for a in self.analyses),
+               f"analyses must be a subset of {sorted(ALL_ANALYSES)}, "
+               f"got {self.analyses!r}")
+        _check(isinstance(self.budgets, Budgets),
+               f"budgets must be a Budgets, got {self.budgets!r}")
+        pairs = kind == "c_log_pow"
+        _check(isinstance(grid, (list, tuple)) and all(
+            isinstance(g, (list, tuple)) and len(g) == 2
+            and all(map(_is_number, g)) if pairs else _is_number(g)
+            for g in grid),
+            f"a {kind} grid is a list of "
+            f"{'[c, a] pairs' if pairs else 'numbers'}, got {grid!r}")
         for pt in self.points():
             if not 0.0 <= pt.p <= 1.0:
                 raise DomainError(
                     f"grid resolves to p={pt.p} outside [0,1] at m={pt.m}")
 
     def points(self) -> list["GridPoint"]:
-        out = []
-        for m in self.ms:
-            for raw in self.grid:
-                out.append(GridPoint(m=m, ell=self.ell, model=self.model,
-                                     p=_resolve_p(self.grid_kind, raw, m,
-                                                  self.ell)))
-        return out
+        return [GridPoint(m=m, ell=self.ell, model=self.model,
+                          p=_resolve_p(self.grid_kind, raw, m, self.ell),
+                          param=sampler_param(self.model, self.grid_kind,
+                                              raw, m, self.ell))
+                for m in self.ms for raw in self.grid]
+
+
+# a config file's keys: SweepConfig's fields, with eps under "epsilon"
+CONFIG_KEYS = tuple("epsilon" if f.name == "eps" else f.name
+                    for f in fields(SweepConfig))
 
 
 def _resolve_p(kind: str, raw, m: int, ell: int) -> float:
@@ -195,12 +264,26 @@ def _resolve_p(kind: str, raw, m: int, ell: int) -> float:
     return float(c) * math.log(m) ** float(a) * float(m) ** (1 - ell)
 
 
+def sampler_param(model: str, kind: str, raw, m: int, ell: int) -> float:
+    """The sampler's parameter for a value of a grid kind, from a sweep
+    grid or from ``randgroup sample``: the density d for uniform_count,
+    which takes densities only, and the probability p otherwise."""
+    if model != "uniform_count":
+        return _resolve_p(kind, raw, m, ell)
+    _check(kind == "density",
+           f"uniform_count takes densities, not {kind} values")
+    return float(raw)
+
+
 @dataclass(frozen=True)
 class GridPoint:
+    """One grid entry at one m: its probability p, and the sampler's
+    parameter, which is p but for uniform_count, where it is d."""
     m: int
     ell: int
     model: str
     p: float
+    param: float
 
 
 @dataclass(frozen=True)
@@ -223,24 +306,8 @@ class TrialRecord:
     wall_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "point_index": self.point_index,
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "n_relators": self.n_relators,
-            "chi": self.chi,
-            "free": self.free,
-            "final_rank": self.final_rank,
-            "unused_count": self.unused_count,
-            "surjects_Z": self.surjects_Z,
-            "l_holds": self.l_holds,
-            "sl_holds": self.sl_holds,
-            "verdict": self.verdict,
-            "diagnostics": self.diagnostics,
-            "skipped": list(self.skipped),
-            "budget_errors": list(self.budget_errors),
-            "wall_time": self.wall_time,
-        }
+        return asdict(self) | {"skipped": list(self.skipped),
+                               "budget_errors": list(self.budget_errors)}
 
 
 def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -343,12 +410,9 @@ class PointSummary:
 
         return ",".join(text(f) for f in fields(self)[:-1])
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 # the summary's fields are the CSV columns, in order, but for the last
-# one, verdict_histogram, which only the JSON holds
+# one, verdict_histogram, which the CSV leaves out
 CSV_HEADER = ",".join(f.name for f in fields(PointSummary)[:-1])
 
 
@@ -405,16 +469,6 @@ class SweepResult:
         lines.extend(s.csv_row() for s in self.summaries)
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.config.model,
-            "ell": self.config.ell,
-            "trials": self.config.trials,
-            "master_seed": self.config.master_seed,
-            "epsilon": str(self.config.eps),
-            "points": [s.to_json_dict() for s in self.summaries],
-        }
-
     def records_jsonl(self) -> str:
         return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
                        for r in self.records)
@@ -423,7 +477,7 @@ class SweepResult:
 def _sweep_task(args):
     config, points, pi, ti = args
     pt = points[pi]
-    params = ModelParams(m=pt.m, ell=pt.ell, param=pt.p,
+    params = ModelParams(m=pt.m, ell=pt.ell, param=pt.param,
                          seed=trial_seed(config.master_seed, pi, ti))
     return run_trial(pt.model, params, eps=config.eps,
                      analyses=config.analyses, budgets=config.budgets,
@@ -478,9 +532,7 @@ class ThresholdEstimate:
     ci_halfwidth_hi: float
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "crossing", "grid_lo", "grid_hi", "frac_lo", "frac_hi",
-            "ci_halfwidth_lo", "ci_halfwidth_hi")}
+        return asdict(self)
 
 
 def estimate_threshold(result_or_summaries, statistic: str,

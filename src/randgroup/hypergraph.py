@@ -27,7 +27,7 @@ in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -149,19 +149,9 @@ class DiagnosticsReport:
     type2_matching_violations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "double_edge_count": self.double_edge_count,
-            "type_counts": {"1": self.type_counts[0],
-                            "2": self.type_counts[1],
-                            "3": self.type_counts[2]},
-            "component_count": self.component_count,
-            "max_component_size": self.max_component_size,
-            "degree1_per_component": list(self.degree1_per_component),
-            "low_exposure_components": self.low_exposure_components,
-            "type2_component_multi_meet": self.type2_component_multi_meet,
-            "components_meeting_two_type2": self.components_meeting_two_type2,
-            "type2_matching_violations": self.type2_matching_violations,
-        }
+        return asdict(self) | {
+            "type_counts": dict(zip("123", self.type_counts)),
+            "degree1_per_component": list(self.degree1_per_component)}
 
     def summary_dict(self) -> dict:
         """Scalar counters only, for embedding in trial records."""

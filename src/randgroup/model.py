@@ -228,8 +228,12 @@ def make_presentation(m: int, ell: int, relators, model_tag: str = "manual",
         raise DomainError(f"unknown model tag {model_tag!r}")
     rows = []
     for w in relators:
-        w = tuple(int(x) for x in w)
+        w = tuple(w)
         validate_word(w, m)
+        w = tuple(int(x) for x in w)
+        # letters past int32 cannot be stored in the relator matrix
+        if any(abs(x) > _INT32_MAX for x in w):
+            raise DomainError(f"letter out of range in {w}")
         if len(w) != ell:
             raise LengthMismatchError(
                 f"relator {w} has length {len(w)}, expected {ell}")

@@ -12,6 +12,7 @@ reduced when additionally the last letter does not cancel the first.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterator
 
 from .errors import CapExceededError, EmptyWordError
@@ -31,14 +32,19 @@ def word_key(word: Word) -> tuple[tuple[int, int], ...]:
     return tuple(letter_key(x) for x in word)
 
 
+def is_integer(x) -> bool:
+    """True for Python and numpy integers; bools and floats are not."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def validate_word(word: Word, m: int | None = None) -> None:
     """Raise on letters that are zero, non-integral, or out of range."""
     if len(word) == 0:
         raise EmptyWordError("empty word")
     for x in word:
-        if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+        if not is_integer(x) or x == 0:
             raise ValueError(f"invalid letter {x!r}")
-        if m is not None and abs(x) > m:
+        if m is not None and abs(int(x)) > m:
             raise ValueError(f"letter {x} outside generator range 1..{m}")
 
 

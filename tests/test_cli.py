@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from randgroup import experiments
-from randgroup.cli import main
+from randgroup.cli import build_parser, main
 from randgroup.hypergraph import diagnostics
 from randgroup.model import load_presentation
 from randgroup.words import is_cyclically_reduced
@@ -254,7 +256,10 @@ def test_sweep_config_errors(tmp_path, capsys):
     assert run(capsys, "sweep", "--config", str(cfg))[0] == 2
     # values of the wrong JSON type
     for bad in ({"ms": 5}, {"grid": 0.1}, {"trials": None},
-                {"analyses": 5}, {"epsilon": "1/0"}):
+                {"analyses": 5}, {"epsilon": "1/0"},
+                # integer settings are JSON integers, never rounded
+                {"ms": [4.7]}, {"ms": [True]}, {"ell": 3.9}, {"ell": True},
+                {"trials": 2.9}, {"master_seed": -1}):
         cfg.write_text(json.dumps({**SWEEP_BASE, **bad}))
         code, out, err = run(capsys, "sweep", "--config", str(cfg),
                              "--threads", "1")
@@ -264,6 +269,28 @@ def test_sweep_config_errors(tmp_path, capsys):
 
 SWEEP_BASE = {"ms": [4], "ell": 3, "model": "positive", "grid": [0.05],
               "trials": 2}
+
+
+@pytest.mark.parametrize("kind, grid", [("p", "0.01"), ("c_log_pow", "1:1")])
+def test_uniform_count_sweep_needs_density_grid(capsys, kind, grid):
+    code, out, err = run(capsys, "sweep", "--ms", "20", "-l", "3", "--model",
+                         "uniform_count", "--grid-kind", kind, "--grid", grid,
+                         "--trials", "1", "--threads", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: uniform_count takes densities, not {kind} values\n"
+
+
+def test_readme_config_table_lists_the_config_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Sweep configuration")[1].split("\n## ")[0]
+    keys = re.findall(r"^\| `(\w+)` ", section, flags=re.M)
+    assert keys == list(experiments.CONFIG_KEYS)
+
+
+def test_sweep_flags_are_named_by_config_keys():
+    dests = set(vars(build_parser().parse_args(["sweep"]))) - {
+        "subcommand", "func", "config", "output", "jsonl", "threads"}
+    assert dests == set(experiments.CONFIG_KEYS) - {"budgets"}
 
 
 @pytest.mark.parametrize("budgets, fragment", [

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,8 @@ from randgroup.experiments import (
     trial_seed,
     wilson_interval,
 )
-from randgroup.model import ModelParams, sample
+from randgroup.model import (ModelParams, density_to_p, sample,
+                             uniform_count_size)
 
 from oracles import reference_fa_verdict
 
@@ -249,6 +252,46 @@ def test_sweep_grid_kinds_and_validation():
     cfg.validate()
     [pt] = cfg.points()
     assert math.isclose(pt.p, 4.0 ** (3 * (0.5 - 1.0)))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(ms=(4.5,)), dict(ms=(True,)), dict(ms=4), dict(ell=3.0),
+    dict(ell=True), dict(trials=2.5), dict(trials=True),
+    dict(master_seed=-1), dict(master_seed=1.0), dict(eps=0.5),
+    dict(analyses="fa"), dict(grid=((0.1, 0.2),)), dict(grid=(True,)),
+    dict(budgets={"l_nodes": 5})])
+def test_sweep_config_rejects_wrong_types(bad):
+    # each of these used to pass validate and fail later, or run rounded
+    with pytest.raises(DomainError):
+        mk_config(**bad).validate()
+
+
+def test_sweep_config_takes_numpy_integers_and_lists():
+    mk_config(ms=[np.int64(4), 5], ell=np.int32(3), trials=np.int64(2),
+              master_seed=np.uint64(7), grid=[0.0]).validate()
+
+
+def test_uniform_count_sweep_samples_at_the_density():
+    cfg = SweepConfig(ms=(20,), ell=3, model="uniform_count", grid=(0.3,),
+                      grid_kind="density", trials=3,
+                      analyses=frozenset())
+    res = sweep(cfg)
+    assert [r.n_relators for r in res.records] == \
+        [uniform_count_size(20, 3, 0.3)] * 3 == [27] * 3
+    [pt] = res.points
+    assert pt.p == density_to_p(20, 3, 0.3) and pt.param == 0.3
+    row = res.csv_text().splitlines()[1].split(",")
+    assert float(row[3]) == density_to_p(20, 3, 0.3)
+    assert math.isclose(float(row[4]), 0.3)
+
+
+def test_record_json_lists_its_tuples():
+    rec = run_trial("positive", ModelParams(m=4, ell=3, param=0.1, seed=2),
+                    analyses=frozenset({"fa"}))
+    d = rec.to_json_dict()
+    assert list(d) == [f.name for f in fields(TrialRecord)]
+    assert d["skipped"] == ["diagnostics", "abelianization"]
+    assert d["budget_errors"] == [] and d["diagnostics"] is None
 
 
 def test_sweep_writes_files(tmp_path):

@@ -366,6 +366,32 @@ def test_make_presentation_validation():
     assert pres.relators == ((1, 1, 2), (2, 1, 1))  # sorted
 
 
+def test_make_presentation_takes_numpy_integers():
+    row = np.array([2, 1, 1], dtype=np.int64)
+    pres = make_presentation(2, 3, [row, (np.int32(1), np.int8(1), 2)])
+    assert pres.relators == ((1, 1, 2), (2, 1, 1))
+
+
+@pytest.mark.parametrize("word", [(1.5, 2.9, 1), (1.0, 2, 1), (1, 2, 1.0)])
+def test_make_presentation_rejects_float_letters(word):
+    with pytest.raises(ValueError, match="invalid letter"):
+        make_presentation(3, 3, [word])
+
+
+@pytest.mark.parametrize("word", [(True, 2, 1), (1, 2, np.True_)])
+def test_make_presentation_rejects_bool_letters(word):
+    with pytest.raises(ValueError, match="invalid letter"):
+        make_presentation(3, 3, [word])
+
+
+@pytest.mark.parametrize("letter", [2**31, -2**31, np.int64(2**40)])
+def test_make_presentation_rejects_letters_past_int32(letter):
+    # m admits the letter, the int32 relator matrix does not
+    with pytest.raises(DomainError, match="letter out of range"):
+        make_presentation(2**41, 3, [(1, letter, 1)])
+    make_presentation(2**41, 3, [(1, 2**31 - 1, 1)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=4),
