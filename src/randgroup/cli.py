@@ -125,7 +125,7 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
-    settings = {"master_seed": _default_seed()}
+    settings = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             try:
@@ -138,6 +138,8 @@ def _cmd_sweep(args) -> int:
     # the sweep flags are named by their config keys, and win over the file
     settings.update((key, value) for key, value in vars(args).items()
                     if key in CONFIG_KEYS and value is not None)
+    if "master_seed" not in settings:
+        settings["master_seed"] = _default_seed()
     config = SweepConfig.from_json_dict(settings)
     workers = args.threads if args.threads else (os.cpu_count() or 1)
     result = sweep(config, workers=workers, csv_path=args.output,

@@ -6,7 +6,10 @@ the other generators: dropping both a and r is a Tietze move, so the
 group is unchanged up to isomorphism. Repeating until no relators
 remain certifies the group free of rank m - |R|. The certificate is the
 exact sequence of (generator, relator) steps and can be replayed by an
-independent checker.
+independent checker. The search keeps each step as a generator and a
+relator id, and the certificate makes the (generator, relator) tuples
+the first time they are read, so a trial that needs only the verdict
+and the rank never builds them.
 
 Elimination can stall; that is a legitimate outcome carrying no verdict
 on the group itself (downstream it is reported as Unknown, possibly
@@ -20,9 +23,9 @@ function of the presentation.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -34,8 +37,33 @@ from .words import Word
 
 @dataclass(frozen=True)
 class EliminationCertificate:
+    """The (generator, relator) steps of an elimination, and the rank.
+
+    From ``certify_free``, ``steps`` is built the first time it is
+    read. Equality, hashing and ``dataclasses.replace`` read it.
+    """
     steps: tuple[tuple[int, Word], ...]
     final_rank: int
+
+    @classmethod
+    def _from_order(cls, gens: list[int], rids: list[int],
+                    matrix: np.ndarray, final_rank: int
+                    ) -> "EliminationCertificate":
+        cert = cls.__new__(cls)
+        object.__setattr__(cert, "final_rank", final_rank)
+        object.__setattr__(cert, "_order", (gens, rids, matrix))
+        return cert
+
+    def __getattr__(self, name: str):
+        # normal lookup failed: the steps of a certificate from
+        # _from_order before their first read, or no such attribute
+        order = self.__dict__.get("_order") if name == "steps" else None
+        if order is None:
+            raise AttributeError(name)
+        gens, rids, matrix = order
+        steps = tuple(zip(gens, map(tuple, matrix[rids].tolist())))
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,7 +133,16 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
     totals plus the sum of relator ids over occurrences. When a
     generator's total hits 1 the id sum IS the id of its relator, so
     each step costs O(ell log m) and a million-relator presentation
-    that stalls immediately is detected in one pass.
+    that stalls immediately is detected in one pass, converting no
+    array to a list.
+
+    Invariant: counts never rise, and an eliminated generator ends at
+    0, so ``counts[g] == 1`` alone makes g admissible, and every
+    admissible generator is on the heap. A generator that occurs twice
+    in a step's relator can be pushed as its count passes through 1 on
+    the way to 0; it is dead when popped and skipped. A step records
+    only its generator and relator id; the certificate builds its
+    ``steps`` tuple the first time it is read.
     """
     m = pres.m
     k0 = len(pres)
@@ -115,47 +152,44 @@ def certify_free(pres: Presentation) -> EliminationCertificate | StuckReport:
     mat = pres.relator_matrix
     index = build(pres)
     heap = np.flatnonzero(index.counts == 1).tolist()  # ascending, so a heap
-    counts = index.counts.tolist()
-    rid_of_cell = np.repeat(np.arange(k0, dtype=np.int64), pres.ell)
-    # int64, because a float64 sum of ids is exact only while
-    # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
-    rid_sum = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(rid_sum, index.gens.ravel(), rid_of_cell)
-    rid_sum = rid_sum.tolist()  # Python ints: a step updates ell entries
+    gens: list[int] = []
+    rids: list[int] = []
+    if heap:
+        ell = pres.ell
+        flat = index.gens.ravel()
+        # int64, because a float64 sum of ids is exact only while
+        # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
+        rid_sum = np.zeros(m + 1, dtype=np.int64)
+        np.add.at(rid_sum, flat, np.repeat(np.arange(k0, dtype=np.int64), ell))
+        # Python ints: a step updates ell entries
+        rid_sum = rid_sum.tolist()
+        counts = index.counts.tolist()
+        rows = flat.tolist()  # relator i is rows[i * ell:(i + 1) * ell]
+        while heap:
+            g = heappop(heap)
+            if counts[g] != 1:
+                continue
+            rid = rid_sum[g]
+            gens.append(g)
+            rids.append(rid)
+            start = rid * ell
+            for x in rows[start:start + ell]:
+                c = counts[x] - 1
+                counts[x] = c
+                rid_sum[x] -= rid
+                if c == 1:
+                    heappush(heap, x)
 
+    if len(rids) == k0:
+        return EliminationCertificate._from_order(gens, rids, mat, m - k0)
+    active_rel = np.ones(k0, dtype=bool)
+    active_rel[rids] = False
     active_gen = np.ones(m + 1, dtype=bool)
     active_gen[0] = False
-    active_rel = np.ones(k0, dtype=bool)
-
-    steps: list[tuple[int, Word]] = []
-    remaining = k0
-    while remaining:
-        g = None
-        while heap:
-            cand = heapq.heappop(heap)
-            if active_gen[cand] and counts[cand] == 1:
-                g = cand
-                break
-        if g is None:
-            rem_matrix = mat[active_rel]
-            rem_gens = tuple(int(v) for v in np.nonzero(active_gen)[0])
-            return StuckReport(rem_matrix, rem_gens,
-                               reason="no admissible generator-relator pair")
-        rid = rid_sum[g]
-        word = mat[rid].tolist()
-        steps.append((g, tuple(word)))
-        row = [abs(x) for x in word]
-        for x in row:
-            counts[x] -= 1
-            rid_sum[x] -= rid
-        active_gen[g] = False
-        active_rel[rid] = False
-        remaining -= 1
-        for cand in set(row):
-            if active_gen[cand] and counts[cand] == 1:
-                heapq.heappush(heap, cand)
-
-    return EliminationCertificate(steps=tuple(steps), final_rank=m - k0)
+    active_gen[gens] = False
+    return StuckReport(mat[active_rel],
+                       tuple(np.flatnonzero(active_gen).tolist()),
+                       reason="no admissible generator-relator pair")
 
 
 def replay_certificate(pres: Presentation, cert: EliminationCertificate) -> bool:

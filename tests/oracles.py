@@ -3,13 +3,15 @@
 Each one is the plain, definitional version of something the package
 computes a faster way: the verdict cascade as ``check-fa`` first wrote
 it, the letter-condition search that walks every candidate set,
-generator elimination by rescanning the relators, relator types,
+generator elimination by rescanning the relators, the incremental
+elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports and components, the canonical relator class, and
 the rank mod p of a whole dense integer matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from itertools import combinations
 from typing import Iterable, Optional, Union
@@ -28,7 +30,7 @@ from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
                                        unused_generators)
 from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
-from randgroup.hypergraph import SupportHypergraph, _component_labels
+from randgroup.hypergraph import SupportHypergraph, _component_labels, build
 from randgroup.model import Presentation
 from randgroup.words import (Word, inverse_word, is_cyclically_reduced,
                              word_key)
@@ -179,6 +181,62 @@ def naive_certify(pres: Presentation) -> EliminationCertificate | StuckReport:
         active.discard(g)
     return EliminationCertificate(steps=tuple(steps),
                                   final_rank=pres.m - len(pres))
+
+
+def reference_certify_free(pres: Presentation
+                           ) -> EliminationCertificate | StuckReport:
+    """certify_free's elimination loop before it kept int lists only:
+    per-step active masks, row lists and a set of touched generators,
+    with every step tuple built as it is taken."""
+    m = pres.m
+    k0 = len(pres)
+    if k0 == 0:
+        return EliminationCertificate(steps=(), final_rank=m)
+
+    mat = pres.relator_matrix
+    index = build(pres)
+    heap = np.flatnonzero(index.counts == 1).tolist()  # ascending, so a heap
+    counts = index.counts.tolist()
+    rid_of_cell = np.repeat(np.arange(k0, dtype=np.int64), pres.ell)
+    # int64, because a float64 sum of ids is exact only while
+    # ell * k^2 < 2^53, which MAX_RELATORS rows can exceed
+    rid_sum = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(rid_sum, index.gens.ravel(), rid_of_cell)
+    rid_sum = rid_sum.tolist()  # Python ints: a step updates ell entries
+
+    active_gen = np.ones(m + 1, dtype=bool)
+    active_gen[0] = False
+    active_rel = np.ones(k0, dtype=bool)
+
+    steps: list[tuple[int, Word]] = []
+    remaining = k0
+    while remaining:
+        g = None
+        while heap:
+            cand = heapq.heappop(heap)
+            if active_gen[cand] and counts[cand] == 1:
+                g = cand
+                break
+        if g is None:
+            rem_matrix = mat[active_rel]
+            rem_gens = tuple(int(v) for v in np.nonzero(active_gen)[0])
+            return StuckReport(rem_matrix, rem_gens,
+                               reason="no admissible generator-relator pair")
+        rid = rid_sum[g]
+        word = mat[rid].tolist()
+        steps.append((g, tuple(word)))
+        row = [abs(x) for x in word]
+        for x in row:
+            counts[x] -= 1
+            rid_sum[x] -= rid
+        active_gen[g] = False
+        active_rel[rid] = False
+        remaining -= 1
+        for cand in set(row):
+            if active_gen[cand] and counts[cand] == 1:
+                heapq.heappush(heap, cand)
+
+    return EliminationCertificate(steps=tuple(steps), final_rank=m - k0)
 
 
 # ----------------------------------------------------------- hypergraph

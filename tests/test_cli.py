@@ -334,6 +334,24 @@ def test_bad_seed_env_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_sweep_given_seed_does_not_read_env(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "--ms", "4", "-l", "3", "--model", "binomial",
+            "--grid", "0.0,0.05", "--trials", "2", "--threads", "1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"master_seed": 3}))
+    plain = tmp_path / "plain.csv"
+    assert run(capsys, *argv, "--seed", "3", "-o", str(plain))[0] == 0
+    monkeypatch.setenv("RANDGROUP_SEED", "abc")
+    for given in (["--seed", "3"], ["--config", str(cfg)]):
+        out_csv = tmp_path / "enved.csv"
+        code, out, err = run(capsys, *argv, *given, "-o", str(out_csv))
+        assert code == 0 and out == ""
+        assert out_csv.read_bytes() == plain.read_bytes()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: RANDGROUP_SEED must be an integer, got 'abc'\n"
+
+
 def test_sweep_pure_flag_invocation(capsys):
     code, out, _ = run(capsys, "sweep", "--ms", "4", "-l", "3", "--model",
                        "binomial", "--grid", "0.0", "--trials", "2",

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
 from functools import lru_cache
 from itertools import product
 
@@ -15,7 +18,7 @@ from randgroup.freeness import (
 )
 from randgroup.model import ModelParams, make_presentation, sample_binomial
 
-from oracles import find_elimination, naive_certify
+from oracles import find_elimination, naive_certify, reference_certify_free
 
 
 @lru_cache(maxsize=None)
@@ -183,3 +186,93 @@ def test_moderate_scale_consistency():
         assert got == ref and replay_certificate(pres, got)
     else:
         assert got.remaining_relators == ref.remaining_relators
+
+
+# ------------------------------------------------- the pre-int-list loop
+
+def _binomial(m, ell, p, seed):
+    return sample_binomial(ModelParams(m=m, ell=ell, param=p, seed=seed))
+
+
+def _same_as_reference(pres):
+    got = certify_free(pres)
+    ref = reference_certify_free(pres)
+    assert type(got) is type(ref)
+    assert got.to_json_dict() == ref.to_json_dict()
+    return got
+
+
+def test_matches_reference_loop_free_at_scale():
+    m = 30_000
+    cert = _same_as_reference(_binomial(m, 3, 0.1 * m ** -2.0, 5))
+    assert isinstance(cert, EliminationCertificate)
+    gens = [g for g, _ in cert.steps]
+    assert len(gens) >= 10**3 and gens != sorted(gens)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+@pytest.mark.parametrize("c", [0.2, 0.5])
+def test_matches_reference_loop_stuck(ell, c):
+    m = 3000
+    for seed in range(2):
+        pres = _binomial(m, ell, c * m ** (1.0 - ell), seed)
+        rep = _same_as_reference(pres)
+        assert isinstance(rep, StuckReport)
+        if (ell, c) == (3, 0.2):  # stuck midway, after some steps
+            assert 0 < rep.n_remaining < len(pres)
+
+
+def test_matches_reference_loop_stuck_at_step_zero():
+    m = 300
+    pres = _binomial(m, 4, math.log(m) * m ** -3.0, 1)
+    rep = _same_as_reference(pres)
+    assert isinstance(rep, StuckReport) and rep.n_remaining == len(pres)
+
+
+@pytest.mark.parametrize("rels", [
+    [(4, 4, 1)],
+    [(1, 2, 3), (4, 4, 1)],
+    [(1, 1, 2), (2, 3, 3)],
+    [(1, 1, 2), (2, 3, 4)],
+    # 2 is pushed as its count passes through 1, and is dead when popped
+    [(2, 2, 3), (1, 3, 4)],
+    [(2, 2, 2), (1, 2, 3)],
+    [(1, 1, 1, 2), (2, 2, 3, 3), (3, 1, 4, 4)],
+    [(1, 2, -1, -2), (3, 3, 1, 4)],
+])
+def test_matches_reference_loop_repeated_generators(rels):
+    _same_as_reference(make_presentation(4, len(rels[0]), rels))
+
+
+def test_matches_reference_loop_small_samples():
+    for m, ell, seed in product((2, 3, 5), (3, 4), range(20)):
+        _same_as_reference(_binomial(m, ell, 0.5 / (2 * m) ** (ell - 1),
+                                     seed))
+
+
+def test_certificate_contract():
+    """A certificate whose steps are built on first read behaves like
+    one built from a tuple."""
+    pres = make_presentation(6, 3, [(1, 2, 3), (4, 4, 1), (5, -6, 2)])
+
+    def fresh():
+        cert = certify_free(pres)
+        assert "steps" not in vars(cert)
+        return cert
+
+    eager = EliminationCertificate(steps=fresh().steps, final_rank=3)
+    assert eager.steps == ((3, (1, 2, 3)), (1, (4, 4, 1)),
+                           (2, (5, -6, 2)))
+    assert fresh() == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert fresh() != dataclasses.replace(eager, final_rank=2)
+    cert = fresh()
+    short = dataclasses.replace(cert, steps=cert.steps[:-1])
+    assert short == EliminationCertificate(eager.steps[:-1], 3)
+    assert not replay_certificate(pres, short)
+    assert dataclasses.replace(fresh(), final_rank=2).steps == eager.steps
+    assert EliminationCertificate.from_json_dict(
+        fresh().to_json_dict()) == eager
+    assert replay_certificate(pres, fresh())
+    assert pickle.loads(pickle.dumps(fresh())) == eager
+    assert repr(fresh()) == repr(eager)

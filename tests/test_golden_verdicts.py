@@ -4,7 +4,8 @@
 and fixed-seed positive sweeps with the FA searches are pinned by their
 CSV bytes and their JSONL records less ``wall_time``. The m values 8,
 24 and 31 cover the searched, the SL-skipped and the both-skipped
-paths of the default budgets.
+paths of the default budgets. ``certify-free`` stdout is pinned for a
+long elimination chain and for one that sticks midway.
 """
 
 from __future__ import annotations
@@ -86,6 +87,35 @@ def test_golden_check_fa_bytes(tmp_path, capsys, make, eps, verdict, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["verdict"] == verdict
+    assert _digest(out) == digest
+
+
+def _binomial(m, ell, c, seed):
+    return lambda: sample("binomial",
+                          ModelParams(m, ell, c * m ** (1.0 - ell), seed))
+
+
+# name, presentation, certificate kind, digest
+GOLDEN_CERTIFY_FREE = [
+    # 1599 steps, not in ascending generator order
+    ("free_chain_m2000", _binomial(2000, 3, 0.1, 11), "steps",
+     "a1284b126e784ab7"),
+    # 27 of 44 relators eliminated, 17 left
+    ("stuck_midway_m50", _binomial(50, 3, 0.12, 0), "stuck",
+     "686b4b3e9e44c71e"),
+]
+
+
+@pytest.mark.parametrize("make, kind, digest",
+                         [row[1:] for row in GOLDEN_CERTIFY_FREE],
+                         ids=[row[0] for row in GOLDEN_CERTIFY_FREE])
+def test_golden_certify_free_bytes(tmp_path, capsys, make, kind, digest):
+    path = tmp_path / "pres.txt"
+    with open(path, "w", encoding="ascii") as fh:
+        save_presentation(make(), fh)
+    assert main(["certify-free", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert kind in json.loads(out)
     assert _digest(out) == digest
 
 
