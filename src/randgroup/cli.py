@@ -125,6 +125,8 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {args.threads}")
     settings = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
@@ -141,7 +143,7 @@ def _cmd_sweep(args) -> int:
     if "master_seed" not in settings:
         settings["master_seed"] = _default_seed()
     config = SweepConfig.from_json_dict(settings)
-    workers = args.threads if args.threads else (os.cpu_count() or 1)
+    workers = args.threads or os.cpu_count() or 1
     result = sweep(config, workers=workers, csv_path=args.output,
                    jsonl_path=args.jsonl)
     if not args.output:

@@ -21,8 +21,8 @@ that hold asymptotically in the sparse regime:
   5. no component meets two different type-2 edges
   6. the type-2 edges form a matching (no shared vertices)
 
-All of it is vectorized; a presentation with 10^6 relators is processed
-in seconds.
+All of it is vectorized in numpy alone, components too; a presentation
+with 10^6 relators is processed in seconds.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceededError, DomainError
 from .model import Presentation, _letter_codes, key_runs, row_keys
@@ -113,27 +111,32 @@ def build(pres: Presentation) -> SupportHypergraph:
 
 
 def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected-component labels (0-based, deterministic) over vertices 1..m.
+    """Component labels over vertices 1..m, numbered 0, 1, ... in order of
+    first appearance along 1..m; only the ell-uniform edges connect.
 
-    Only the ell-uniform edges connect vertices; every other vertex is a
-    singleton. Labels are renumbered in order of first appearance along
-    the vertex sequence 1..m so results never depend on library
-    internals.
+    Root hooking: each round, every edge still joining two trees hooks the
+    larger root onto the smaller, then paths are compressed fully. Parents
+    only decrease, so each root ends as its component's least vertex, and
+    its rank is the label. int32 holds every vertex id (m + 1 <= the cap).
     """
+    parent = np.arange(m, dtype=np.int32)
     if uniform_rows.shape[0] == 0 or uniform_rows.shape[1] <= 1:
-        labels = np.arange(m, dtype=np.int64)
-        # size-1 edges connect nothing; still every vertex is its own component
-        return m, labels
-    first = np.repeat(uniform_rows[:, 0] - 1, uniform_rows.shape[1] - 1)
-    rest = (uniform_rows[:, 1:] - 1).ravel()
-    data = np.ones(len(first), dtype=np.int8)
-    graph = coo_matrix((data, (first, rest)), shape=(m, m))
-    _, raw = connected_components(graph, directed=False)
-    # renumber by first appearance: rank each label's first vertex
-    _, first_vertex = np.unique(raw, return_index=True)
-    rank = np.empty(len(first_vertex), dtype=np.int64)
-    rank[np.argsort(first_vertex)] = np.arange(len(first_vertex))
-    return len(first_vertex), rank[raw]
+        return m, parent  # size-1 edges connect nothing
+    # each edge joins its first vertex to each of the others
+    u = np.repeat(uniform_rows[:, 0] - 1, uniform_rows.shape[1] - 1)
+    v = (uniform_rows[:, 1:] - 1).ravel()
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+    rank = np.cumsum(parent == np.arange(m, dtype=np.int32), dtype=np.int32)
+    return int(rank[-1]), rank[parent] - 1
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,7 @@ def diagnostics(pres: Presentation) -> DiagnosticsReport:
 
     uniform = h.uniform_edge_rows()
     n_comp, labels = _component_labels(m, uniform)
-    comp_sizes = np.bincount(labels, minlength=n_comp)
-    max_comp = int(comp_sizes.max()) if m else 0
+    max_comp = int(np.bincount(labels).max()) if m else 0
 
     # degree in the uniform part only
     degree = np.bincount(uniform.ravel(), minlength=m + 1)[1:]
@@ -206,12 +208,8 @@ def diagnostics(pres: Presentation) -> DiagnosticsReport:
         multi_meet = len(np.unique(lab2[:, 1:][~keep[:, 1:]]))
         # distinct (edge, component) incidences, restricted to components
         # that contain at least one uniform edge
-        pairs_lab = lab2[keep]
-        nontrivial_set = np.zeros(n_comp, dtype=bool)
-        nontrivial_set[nontrivial] = True
-        per_comp = np.bincount(pairs_lab[nontrivial_set[pairs_lab]],
-                               minlength=n_comp)
-        meets_two = int((per_comp >= 2).sum())
+        per_comp = np.bincount(lab2[keep], minlength=n_comp)
+        meets_two = int((per_comp[nontrivial] >= 2).sum())
 
     return DiagnosticsReport(
         double_edge_count=double_edges,

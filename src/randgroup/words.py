@@ -79,32 +79,30 @@ def count_cyclically_reduced(m: int, ell: int) -> int:
     return (2 * m - 1) ** ell + m + (m - 1) * (-1) ** ell
 
 
-def _letters_in_order(m: int) -> list[int]:
-    return [s * g for g in range(1, m + 1) for s in (1, -1)]
-
-
 def iter_cyclically_reduced(m: int, ell: int) -> Iterator[Word]:
     """Yield all cyclically reduced words of length ell in lexicographic order."""
     if m < 1 or ell < 1:
         raise ValueError("need m >= 1 and ell >= 1")
-    letters = _letters_in_order(m)
-    word: list[int] = [0] * ell
-
-    def rec(pos: int) -> Iterator[Word]:
-        for x in letters:
-            if pos > 0 and x == -word[pos - 1]:
-                continue
-            # at the last position also honor the wrap-around constraint;
-            # for ell == 1 the letter is its own neighbor and never cancels
-            if pos == ell - 1 and pos > 0 and x == -word[0]:
-                continue
-            word[pos] = x
-            if pos == ell - 1:
-                yield tuple(word)
-            else:
-                yield from rec(pos + 1)
-
-    return rec(0)
+    # an odometer in O(ell) memory: the letter after x is -x for x > 0 and
+    # 1 - x otherwise, so 0 comes before 1, and m + 1 after -m, the last
+    word = [0] * ell
+    pos = 0
+    while pos >= 0:
+        x = word[pos]
+        while True:
+            x = -x if x > 0 else 1 - x
+            # nor may the last letter cancel the first, unless ell == 1
+            if pos == 0 or not (x == -word[pos - 1] or
+                                (pos == ell - 1 and x == -word[0])):
+                break
+        word[pos] = x
+        if x > m:
+            pos -= 1
+        elif pos == ell - 1:
+            yield tuple(word)
+        else:
+            pos += 1
+            word[pos] = 0
 
 
 def enumerate_cyclically_reduced(

@@ -5,8 +5,8 @@ computes a faster way: the verdict cascade as ``check-fa`` first wrote
 it, the letter-condition search that walks every candidate set,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
-hypergraph supports and components, the canonical relator class, and
-the rank mod p of a whole dense integer matrix.
+hypergraph supports, components by union-find, the canonical relator
+class, and the rank mod p of a whole dense integer matrix.
 """
 
 from __future__ import annotations
@@ -255,6 +255,28 @@ def classify_type(r: Word, ell: int) -> int:
 
 def support(h: SupportHypergraph, relator_id: int) -> frozenset[int]:
     return frozenset(int(g) for g in h.gens[relator_id])
+
+
+def reference_component_labels(m: int, rows) -> tuple[int, list[int]]:
+    """Components of vertices 1..m joined by the edges ``rows``, by
+    union-find, labelled 0, 1, ... in order of first appearance along 1..m."""
+    root = list(range(m + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for row in rows:
+        a = find(int(row[0]))
+        for v in row[1:]:
+            b = find(int(v))
+            if b != a:
+                root[b] = a
+    seen: dict[int, int] = {}
+    labels = [seen.setdefault(find(v), len(seen)) for v in range(1, m + 1)]
+    return len(seen), labels
 
 
 def components(h: SupportHypergraph) -> list[list[int]]:

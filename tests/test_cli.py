@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +16,9 @@ from randgroup.cli import build_parser, main
 from randgroup.hypergraph import diagnostics
 from randgroup.model import load_presentation
 from randgroup.words import is_cyclically_reduced
+
+
+SRC = os.path.dirname(os.path.dirname(experiments.__file__))
 
 
 def run(capsys, *argv):
@@ -141,6 +148,56 @@ def test_enumerate_streams_all_words(capsys):
     assert "28" in err
 
 
+def test_enumerate_long_words_streams():
+    # the words are never all printed: read the first line and stop
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "randgroup.cli", "enumerate", "-m", "2",
+         "-l", "1200"], env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        first = proc.stdout.readline()
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == " ".join(["1"] * 1200) + "\n"
+
+
+@pytest.mark.parametrize("p", ["0.5", "1"])
+def test_sample_long_relators_one_generator(capsys, p):
+    code, out, _ = run(capsys, "sample", "-m", "1", "-l", "1500", "--p", p,
+                       "--seed", "3")
+    assert code == 0
+    relators = set(load_presentation(io.StringIO(out)).relators)
+    both = {(1,) * 1500, (-1,) * 1500}
+    assert relators <= both
+    if p == "1":
+        assert relators == both
+
+
+NO_SCIPY = """
+import importlib, json, pkgutil, sys
+import randgroup
+from randgroup import cli
+for info in pkgutil.iter_modules(randgroup.__path__):
+    importlib.import_module("randgroup." + info.name)
+code = cli.main(["analyze", sys.argv[1]])
+print(json.dumps([name for name in sys.modules
+                  if name.split(".")[0] == "scipy"]))
+sys.exit(code)
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    path = write_pres(tmp_path, "7 3 manual 0.0 0\n1 2 3\n3 4 5\n5 -6 1\n")
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, path],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    report, loaded = proc.stdout.splitlines()
+    assert json.loads(report)["diagnostics"]["component_count"] == 2
+    assert json.loads(loaded) == []
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "sample", "-m", "2", "-l", "3")[0] == 2
@@ -265,6 +322,12 @@ def test_sweep_config_errors(tmp_path, capsys):
                              "--threads", "1")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+    cfg.write_text(json.dumps(SWEEP_BASE))
+    for threads in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                             "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
 SWEEP_BASE = {"ms": [4], "ell": 3, "model": "positive", "grid": [0.05],

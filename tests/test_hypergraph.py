@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from randgroup.abelianization import _exponent_entries
 from randgroup.errors import DomainError, LengthMismatchError
 from randgroup.fa_certificates import unused_generators
-from randgroup.hypergraph import build, diagnostics, verify_edge_lower_bound
+from randgroup.hypergraph import (_component_labels, build, diagnostics,
+                                  verify_edge_lower_bound)
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
 from randgroup.words import letter_key
 
-from oracles import classify_type, components, support
+from oracles import (classify_type, components, reference_component_labels,
+                     support)
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +89,60 @@ def test_components_partition_vertex_set():
     h = build(pres_of(6, 3, [(1, 2, 3), (2, 3, 4)]))
     flat = sorted(v for comp in components(h) for v in comp)
     assert flat == list(range(1, 7))
+
+
+def edge_rows(*columns):
+    """Uniform edge rows as the index holds them: int32, each row sorted."""
+    return np.sort(np.stack(columns, axis=1), axis=1).astype(np.int32)
+
+
+def shuffled_path(rng, n):
+    perm = rng.permutation(n) + 1
+    return n, edge_rows(perm[:-1], perm[1:])
+
+
+def shuffled_hyperpath(rng, n):
+    # 3-uniform edges, each sharing its last vertex with the next one
+    perm = rng.permutation(n) + 1
+    return n, edge_rows(perm[:-1:2], perm[1::2], perm[2::2])
+
+
+def random_recursive_tree(rng, n):
+    # vertex i hangs from a uniform earlier vertex; the labels are shuffled
+    # and a few isolated vertices follow
+    perm = rng.permutation(n) + 1
+    child = np.arange(1, n)
+    hang = rng.integers(child)
+    return n + 40, edge_rows(perm[hang], perm[child])
+
+
+def forest_of_paths(rng, n):
+    # 100 shuffled paths over one shuffled vertex set: many components
+    perm = rng.permutation(n) + 1
+    links = np.arange(n - 1)
+    links = links[links % (n // 100) != n // 100 - 1]
+    return n, edge_rows(perm[links], perm[links + 1])
+
+
+COMPONENT_SHAPES = {
+    "shuffled_path": lambda rng: shuffled_path(rng, 10_000),
+    "shuffled_hyperpath": lambda rng: shuffled_hyperpath(rng, 10_001),
+    "random_recursive_tree": lambda rng: random_recursive_tree(rng, 10_000),
+    "forest_of_paths": lambda rng: forest_of_paths(rng, 10_000),
+    "ell_1": lambda rng: (30, edge_rows(rng.permutation(30)[:20] + 1)),
+    "no_uniform_edges": lambda rng: (50, np.empty((0, 3), dtype=np.int32)),
+    "m_1": lambda rng: (1, np.ones((1, 1), dtype=np.int32)),
+    "m_1_no_edges": lambda rng: (1, np.empty((0, 2), dtype=np.int32)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(COMPONENT_SHAPES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_component_labels_match_union_find(shape, seed):
+    m, rows = COMPONENT_SHAPES[shape](np.random.default_rng(seed))
+    n, labels = _component_labels(m, rows)
+    assert labels.shape == (m,)
+    assert (n, labels.tolist()) == reference_component_labels(m, rows)
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -18,6 +19,7 @@ from randgroup.words import (
     inverse_word,
     is_cyclically_reduced,
     is_reduced,
+    iter_cyclically_reduced,
     letter_key,
     word_from_text,
     word_key,
@@ -61,12 +63,29 @@ def test_enumerate_matches_oracle_as_sets(m, ell):
     got = enumerate_cyclically_reduced(m, ell)
     assert set(got) == set(oracle_words(m, ell))
     assert len(got) == len(set(got))
+    # the oracle's product over the letter order is already in word order
+    assert got == oracle_words(m, ell)
 
 
 def test_enumerate_lexicographic_order():
     words = enumerate_cyclically_reduced(2, 2)
     assert words[0] == (1, 1)  # "a a"
     assert words == sorted(words, key=word_key)
+
+
+def test_iterator_long_words():
+    # one generator: exactly a^ell and its inverse, at any length
+    assert list(iter_cyclically_reduced(1, 1500)) == [(1,) * 1500,
+                                                      (-1,) * 1500]
+
+
+def test_iterator_first_word_needs_no_alphabet():
+    tracemalloc.start()
+    first = next(iter_cyclically_reduced(10**6, 3))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert first == (1, 1, 1)
+    assert peak < 2**20
 
 
 def test_enumerate_cap():
