@@ -8,10 +8,9 @@ integer values across updates and are reduced only when a pivot
 actually needs them. Off-pivot cells merely stay congruent to the true
 values, which is all a rank computation ever reads.
 
-Elimination is blocked twice: 64-column panels inside a 512-column
-slab copied out for cache locality, then one large product per slab to
-update the trailing block. The heavy work is that product, so
-throughput is BLAS-bound; a 10^4-square rank takes seconds.
+Elimination is blocked once: each 64-column panel is eliminated
+column by column, then one product pushes its multipliers through the
+whole trailing block, so throughput is BLAS-bound.
 
 The one caller is the rational-rank decision, which ranks the
 compressed peeled core of the exponent matrix (abelianization's
@@ -28,8 +27,7 @@ import numpy as np
 PRIME_A = 524287
 PRIME_B = 524269
 _INNER = 64
-_OUTER = 512
-# (_MAX_DIM + _OUTER + _INNER) * (PRIME_A - 1)^2 < 2^53
+# (_MAX_DIM + _INNER) * (PRIME_A - 1)^2 < 2^53
 _MAX_DIM = 30000
 
 
@@ -70,56 +68,36 @@ def _eliminate(M: np.ndarray, p: int) -> int:
         raise ValueError(f"dimension {min(n, m)} exceeds the exactness bound "
                          f"{_MAX_DIM} for p={p}")
     r = 0
-    for big0 in range(0, m, _OUTER):
+    for j0 in range(0, m, _INNER):
         if r >= n:
             break
-        big1 = min(big0 + _OUTER, m)
-        R0 = r
-        S = np.ascontiguousarray(M[:, big0:big1])
-        sw = big1 - big0
-        louter: list[np.ndarray] = []
-        for j0 in range(0, sw, _INNER):
-            if r >= n:
-                break
-            j1 = min(j0 + _INNER, sw)
-            r0 = r
-            lcols: list[np.ndarray] = []
-            for j in range(j0, j1):
-                colred = _red(S[r:, j], p)
-                nz = np.nonzero(colred)[0]
-                if len(nz) == 0:
-                    continue
-                pr = r + int(nz[0])
-                if pr != r:
-                    # partial-width swaps are sound: the skipped left
-                    # parts of both rows are multiples of p and are
-                    # never read again before the final reduction
-                    S[[r, pr], j0:] = S[[pr, r], j0:]
-                    M[[r, pr], big1:] = M[[pr, r], big1:]
-                    colred[[0, pr - r]] = colred[[pr - r, 0]]
-                    for lc in lcols:
-                        lc[[r - r0, pr - r0]] = lc[[pr - r0, r - r0]]
-                    for lc in louter:
-                        lc[[r - R0, pr - R0]] = lc[[pr - R0, r - R0]]
-                S[r, j:j1] = _red(S[r, j:j1], p)
-                inv = float(pow(int(S[r, j]), p - 2, p))
-                mult = _red(colred[1:] * inv, p)
-                if j + 1 < j1:
-                    S[r + 1:, j + 1:j1] -= np.outer(mult, S[r, j + 1:j1])
-                S[r + 1:, j] = 0.0
-                lcol = np.zeros(n - r0)
-                lcol[r + 1 - r0:] = mult
-                lcols.append(lcol)
-                r += 1
-            if not lcols:
+        j1 = min(j0 + _INNER, m)
+        r0 = r
+        lcols: list[np.ndarray] = []
+        for j in range(j0, j1):
+            colred = _red(M[r:, j], p)
+            nz = np.nonzero(colred)[0]
+            if len(nz) == 0:
                 continue
-            if j1 < sw:
-                _sweep_and_update(S, np.column_stack(lcols), r0, r, j1, p)
-            for lc in lcols:
-                full = np.zeros(n - R0)
-                full[r0 - R0:] = lc
-                louter.append(full)
-        M[:, big0:big1] = S
-        if louter and big1 < m:
-            _sweep_and_update(M, np.column_stack(louter), R0, r, big1, p)
+            pr = r + int(nz[0])
+            if pr != r:
+                # partial-width swaps are sound: the skipped left
+                # parts of both rows are multiples of p and are
+                # never read again before the final reduction
+                M[[r, pr], j0:] = M[[pr, r], j0:]
+                colred[[0, pr - r]] = colred[[pr - r, 0]]
+                for lc in lcols:
+                    lc[[r - r0, pr - r0]] = lc[[pr - r0, r - r0]]
+            M[r, j:j1] = _red(M[r, j:j1], p)
+            inv = float(pow(int(M[r, j]), p - 2, p))
+            mult = _red(colred[1:] * inv, p)
+            if j + 1 < j1:
+                M[r + 1:, j + 1:j1] -= np.outer(mult, M[r, j + 1:j1])
+            M[r + 1:, j] = 0.0
+            lcol = np.zeros(n - r0)
+            lcol[r + 1 - r0:] = mult
+            lcols.append(lcol)
+            r += 1
+        if lcols and j1 < m:
+            _sweep_and_update(M, np.column_stack(lcols), r0, r, j1, p)
     return r

@@ -29,6 +29,7 @@ candidate; the budget still counts every one of them.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,20 +154,13 @@ def _as_eps(eps) -> Fraction:
     return e
 
 
-def _position_letters(pres: Presentation, mode: str) -> np.ndarray:
-    if mode not in ("positive_letters", "support"):
-        raise DomainError(f"unknown mode {mode!r}")
-    mat = pres.relator_matrix
-    if mode == "positive_letters":
-        if not pres.all_positive:
-            raise DomainError(
-                "positive_letters mode needs an all-positive presentation")
-        return mat
-    return np.abs(mat)
+def _require_positive(pres: Presentation, condition: str) -> None:
+    if not pres.all_positive:
+        raise DomainError(f"the {condition} condition is defined for "
+                          "all-positive presentations")
 
 
 def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
-                  mode: str = "positive_letters",
                   budget: int = L_NODE_BUDGET) -> Union[str, LWitness]:
     """Exhaustively decide the per-position letter condition.
 
@@ -185,18 +179,26 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     at the last position, with no frame or dict per candidate; only a
     one-letter search opens a frame at the last position, its root.
     ``budget`` bounds the number of candidate sets, the counted ones
-    included, exactly as a search walking every one of them would.
+    included, exactly as a search walking every one of them would. The
+    search opens one frame per relator position, so a relator longer
+    than half the recursion limit raises BudgetExceededError instead.
     """
     eps = _as_eps(eps)
     m, ell = pres.m, pres.ell
     s = _set_size(eps, m)
     if s > m:
         raise DomainError(f"set size {s} exceeds generator count {m}")
-    letters = _position_letters(pres, mode)
+    _require_positive(pres, "letter")
+    letters = pres.relator_matrix
     k = len(letters)
     default_set = tuple(range(1, s + 1))
     if k == 0:
         return LWitness(sets=(default_set,) * ell)
+    depth = sys.getrecursionlimit() // 2
+    if ell > depth:
+        raise BudgetExceededError(
+            "check_L_exact", depth,
+            f"search opens a frame per relator position, ell={ell} > {depth}")
 
     # per position, per generator: bitmask of relators carrying it there
     masks = [{} for _ in range(ell)]
@@ -297,8 +299,8 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     return LWitness(sets=tuple(found))
 
 
-def verify_L_witness(pres: Presentation, wit: LWitness, eps=DEFAULT_EPSILON,
-                     mode: str = "positive_letters") -> bool:
+def verify_L_witness(pres: Presentation, wit: LWitness,
+                     eps=DEFAULT_EPSILON) -> bool:
     """Replay a letter-condition witness against the relators."""
     eps = _as_eps(eps)
     s = _set_size(eps, pres.m)
@@ -309,8 +311,8 @@ def verify_L_witness(pres: Presentation, wit: LWitness, eps=DEFAULT_EPSILON,
         return False
     if any(g < 1 or g > pres.m for v in sets for g in v):
         return False
-    letters = _position_letters(pres, mode)
-    for row in letters:
+    _require_positive(pres, "letter")
+    for row in pres.relator_matrix:
         if all(int(row[i]) in sets[i] for i in range(pres.ell)):
             return False
     return True
@@ -340,9 +342,7 @@ def check_SL_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     if max_m > SL_SCAN_LIMIT:
         raise DomainError(
             f"split scan size limit max_m={max_m} exceeds {SL_SCAN_LIMIT}")
-    if not pres.all_positive:
-        raise DomainError("the split condition is defined for all-positive "
-                          "presentations")
+    _require_positive(pres, "split")
     if m > max_m:
         raise BudgetExceededError(
             "check_SL_exact", max_m,

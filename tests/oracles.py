@@ -6,7 +6,8 @@ it, the letter-condition search that walks every candidate set,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports, components by union-find, the canonical relator
-class, and the rank mod p of a whole dense integer matrix.
+class, the rank mod p of a whole dense integer matrix, and the
+determinant by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
                                        VERDICT_FA, VERDICT_FREE,
                                        VERDICT_SPLITS, VERDICT_UNKNOWN,
                                        FAReport, LWitness, _as_eps,
-                                       _position_letters, _set_size,
-                                       check_L_exact, check_SL_exact,
-                                       unused_generators)
+                                       _set_size, check_L_exact,
+                                       check_SL_exact, unused_generators)
 from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
 from randgroup.hypergraph import SupportHypergraph, _component_labels, build
@@ -80,7 +80,6 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
 # ----------------------------------------------------- letter condition
 
 def reference_check_L(pres: Presentation, eps=DEFAULT_EPSILON,
-                      mode: str = "positive_letters",
                       budget: int = L_NODE_BUDGET
                       ) -> tuple[Union[str, LWitness], int]:
     """The letter-condition search walking every candidate set.
@@ -93,7 +92,7 @@ def reference_check_L(pres: Presentation, eps=DEFAULT_EPSILON,
     eps = _as_eps(eps)
     m, ell = pres.m, pres.ell
     s = _set_size(eps, m)
-    letters = _position_letters(pres, mode)
+    letters = pres.relator_matrix
     k = len(letters)
     default_set = tuple(range(1, s + 1))
     if k == 0:
@@ -319,3 +318,25 @@ def rank_mod_p(A: np.ndarray, p: int = PRIME_A) -> int:
         return 0
     M = np.ascontiguousarray(np.asarray(A, dtype=np.int64) % p, dtype=np.float64)
     return _eliminate(M, p)
+
+
+def bareiss_det(a) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so Python ints stay integral
+    and no larger than a minor."""
+    rows = [[int(x) for x in row] for row in a]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return sign * prev

@@ -30,9 +30,9 @@ from randgroup.experiments import trial_seed
 from randgroup.freeness import EliminationCertificate, certify_free
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
-from randgroup.words import iter_cyclically_reduced
+from randgroup.words import is_cyclically_reduced, iter_cyclically_reduced
 
-from oracles import rank_mod_p
+from oracles import bareiss_det, rank_mod_p
 
 
 @lru_cache(maxsize=None)
@@ -177,32 +177,14 @@ def test_smith_form_unimodular_invariance():
             smith_normal_form(a)
 
 
-def fraction_det(a) -> int:
-    """Determinant by exact elimination over the rationals."""
-    rows = [[Fraction(int(x)) for x in row] for row in a]
-    n = len(rows)
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if rows[i][j]), None)
-        if piv is None:
-            return 0
-        if piv != j:
-            rows[j], rows[piv] = rows[piv], rows[j]
-            det = -det
-        det *= rows[j][j]
-        for i in range(j + 1, n):
-            c = rows[i][j] / rows[j][j]
-            rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
-    return int(det)
-
-
-@pytest.mark.parametrize("n", [9, 12, 24])
+# n = 60 finishes only while the fold keeps its rows reduced
+@pytest.mark.parametrize("n", [9, 12, 24, 60])
 def test_dense_smith_form_past_the_minor_oracle(n):
     a = np.random.default_rng(5).integers(-3, 4, (n, n))
     t0 = time.perf_counter()
     d = smith_normal_form(a)
     assert time.perf_counter() - t0 < 10
-    det = fraction_det(a)
+    det = bareiss_det(a)
     assert det != 0 and len(d) == n
     assert math.prod(d) == abs(det)
     assert all(d[i + 1] % d[i] == 0 for i in range(n - 1))
@@ -275,6 +257,56 @@ def test_row_basis_ignores_dependent_rows():
     assert not basis.add([3, 2, 4])
     assert not basis.add([0, 0, 0])
     assert basis.rank == 2
+
+
+def folded(pres):
+    """The row basis abelian_invariants hands to the Smith form."""
+    chunks = abz._chunks_of_rows(abz._exponent_entries(pres), pres.m)
+    return abz._fold((row for chunk in chunks for row in chunk), pres.m)
+
+
+def largest_entry(basis):
+    return max(abs(int(x)) for row in basis.matrix() for x in row)
+
+
+def rank_deficient(m, k):
+    # ell = 4: one relator in ten is (a, m, b, -(m-1)) and the others
+    # avoid generators m-1 and m, so e_{m-1} + e_m is in the kernel
+    rng = np.random.default_rng(m)
+    rels = set()
+    while len(rels) < k:
+        if len(rels) % 10 == 0:
+            a, b = rng.integers(1, m - 1, size=2)
+            w = (int(a), m, int(b), -(m - 1))
+        else:
+            w = tuple(int(g) * int(s) for g, s in zip(
+                rng.integers(1, m - 1, size=4), rng.choice([-1, 1], size=4)))
+        if is_cyclically_reduced(w):
+            rels.add(w)
+    return make_presentation(m, 4, sorted(rels))
+
+
+def test_fold_of_a_sampled_file_keeps_small_entries():
+    # randgroup sample -m 100 -l 4 --p 5/100^3 --seed 1: Bezout steps
+    # alone grew its echelon rows to 2414 bits, and the same shape at
+    # m=300 gave no answer
+    pres = sample_binomial(ModelParams(m=100, ell=4, param=5e-6, seed=1))
+    basis = folded(pres)
+    assert basis.rank == 100
+    assert largest_entry(basis) < 2**32
+    diags = smith_normal_form(basis.matrix())
+    assert len(diags) == 100 and [d for d in diags if d > 1] == [2]
+
+
+def test_rank_deficient_file_is_decided_exactly():
+    # the integer_elimination tier folds all 2000 rows; the same shape
+    # at m=300 with 5900 rows gave no answer
+    pres = rank_deficient(120, 2000)
+    basis = folded(pres)
+    assert basis.rank == 119
+    assert largest_entry(basis) < 2**32
+    assert surjects_onto_Z_details(pres) == \
+        ZR(True, True, "integer_elimination")
 
 
 # --------------------------------------------------- abelian invariants

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -129,6 +130,29 @@ def test_check_fa_skips_L_with_SL(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == []
     doc = json.loads(out)
     assert doc["budget_exceeded"] is True and doc["l_holds"] is None
+
+
+def long_relators(tmp_path, ell):
+    # m = 2: the relator 1^ell and the ell words with a single 2
+    rows = [["1"] * ell] + [["2" if j == i else "1" for j in range(ell)]
+                            for i in range(ell)]
+    body = "".join(" ".join(row) + "\n" for row in rows)
+    return write_pres(tmp_path, f"2 {ell} positive 0.5 0\n" + body,
+                      name=f"long{ell}.pres")
+
+
+def test_check_fa_budgets_relators_past_the_recursion_depth(tmp_path, capsys):
+    # the L search opens a frame per position: ell = 1200 used to die
+    # with a RecursionError traceback
+    code, out, _ = run(capsys, "check-fa", long_relators(tmp_path, 1200))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["budget_exceeded"] is True and doc["verdict"] == "Unknown"
+    # below the depth bound the search runs as before, byte for byte
+    code, out, _ = run(capsys, "check-fa", long_relators(tmp_path, 400))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c3790c4a0086109c535e356f21ac9de04430ae3eae2582c9ad7ee25b0204f82c"
 
 
 def test_abelianize_output(tmp_path, capsys):

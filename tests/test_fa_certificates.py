@@ -27,7 +27,6 @@ from randgroup.fa_certificates import (
 from randgroup.freeness import EliminationCertificate, certify_free
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_positive)
-from randgroup.words import is_cyclically_reduced
 
 from oracles import reference_check_L, reference_fa_verdict
 
@@ -105,10 +104,7 @@ def test_L_empty_presentation():
 def test_L_signed_needs_support_mode():
     pres = make_presentation(2, 3, [(1, -2, 1)])
     with pytest.raises(DomainError):
-        check_L_exact(pres, EPS, mode="positive_letters")
-    got = check_L_exact(pres, EPS, mode="support")
-    assert isinstance(got, LWitness)
-    assert verify_L_witness(pres, got, EPS, mode="support")
+        check_L_exact(pres, EPS)
 
 
 def test_L_budget():
@@ -204,32 +200,30 @@ def test_SL_matches_naive(pres, eps):
 
 
 @st.composite
-def wider_presentations(draw, signed):
+def wider_presentations(draw):
     m = draw(st.integers(min_value=1, max_value=6))
     ell = draw(st.integers(min_value=1, max_value=4))
-    letters = ([g for g in range(-m, m + 1) if g] if signed
-               else list(range(1, m + 1)))
+    letters = list(range(1, m + 1))
     words = draw(st.lists(st.lists(st.sampled_from(letters), min_size=ell,
                                    max_size=ell).map(tuple),
                           max_size=40))
-    return make_presentation(m, ell,
-                             [w for w in words if is_cyclically_reduced(w)])
+    return make_presentation(m, ell, words)
 
 
-def check_L_against_reference(pres, eps, mode):
+def check_L_against_reference(pres, eps):
     """Same result and witness as the reference, and the same budget
     cut-off: its node count passes and one node fewer raises."""
-    want, nodes = reference_check_L(pres, eps, mode)
-    assert check_L_exact(pres, eps, mode) == want
-    assert check_L_exact(pres, eps, mode, budget=nodes) == want
+    want, nodes = reference_check_L(pres, eps)
+    assert check_L_exact(pres, eps) == want
+    assert check_L_exact(pres, eps, budget=nodes) == want
     if nodes:
         with pytest.raises(BudgetExceededError):
-            check_L_exact(pres, eps, mode, budget=nodes - 1)
+            check_L_exact(pres, eps, budget=nodes - 1)
     return nodes
 
 
 @settings(max_examples=200, deadline=None)
-@given(wider_presentations(signed=False),
+@given(wider_presentations(),
        st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]))
 # the last position is reached twice with the same compatible relators,
 # so the dead memo must skip its second count
@@ -244,14 +238,7 @@ def check_L_against_reference(pres, eps, mode):
 @example(make_presentation(2, 3, [(1, 1, 1), (1, 1, 2), (1, 2, 2),
                                   (2, 1, 1)]), Fraction(1, 2))
 def test_L_matches_reference_search(pres, eps):
-    check_L_against_reference(pres, eps, "positive_letters")
-
-
-@settings(max_examples=100, deadline=None)
-@given(wider_presentations(signed=True),
-       st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]))
-def test_L_support_matches_reference_search(pres, eps):
-    check_L_against_reference(pres, eps, "support")
+    check_L_against_reference(pres, eps)
 
 
 # m, p, seed of sample("positive", ...) at eps = 1/3, with the number of
@@ -278,7 +265,7 @@ def test_golden_L_against_reference(m, p, seed, nodes):
         with pytest.raises(BudgetExceededError):
             check_L_exact(pres, eps)
         return
-    assert check_L_against_reference(pres, eps, "positive_letters") == nodes
+    assert check_L_against_reference(pres, eps) == nodes
 
 
 def test_golden_L_holds_past_default_budget():

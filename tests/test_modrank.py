@@ -9,29 +9,25 @@ from oracles import rank_mod_p
 
 
 def oracle_rank(A, p):
-    # textbook row reduction over GF(p), python ints
-    rows = [[int(x) % p for x in row] for row in A]
-    m = len(rows[0]) if rows else 0
+    # textbook row reduction over GF(p), one int64 row update at a time,
+    # every entry reduced after each update (products stay below 2^38)
+    rows = np.asarray(A, dtype=np.int64) % p
+    n, m = rows.shape
     rank = 0
     for j in range(m):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        base = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][j]
-            if c:
-                rows[i] = [(x - c * b) % p for x, b in zip(rows[i], base)]
-        rank += 1
-        if rank == len(rows):
+        if rank == n:
             break
+        nz = np.flatnonzero(rows[rank:, j])
+        if len(nz) == 0:
+            continue
+        piv = rank + int(nz[0])
+        rows[[rank, piv]] = rows[[piv, rank]]
+        rows[rank] = rows[rank] * pow(int(rows[rank, j]), p - 2, p) % p
+        for i in range(rank + 1, n):
+            c = rows[i, j]
+            if c:
+                rows[i] = (rows[i] - c * rows[rank]) % p
+        rank += 1
     return rank
 
 
@@ -72,9 +68,19 @@ def test_rank_matches_reference(p, style):
 @pytest.mark.parametrize("shape", [(70, 70), (64, 130), (200, 65), (129, 128),
                                    (65, 64), (600, 530), (513, 700), (530, 512)])
 def test_panel_boundary_shapes(shape):
-    # sizes straddling the internal block widths
+    # sizes straddling multiples of the 64-column panel width
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     a = random_matrix(rng, *shape, "low_rank")
+    assert rank_mod_p(a, PRIME_A) == oracle_rank(a, PRIME_A)
+
+
+@pytest.mark.parametrize("shape", [(70, 70), (64, 130), (129, 128)])
+def test_row_swaps_across_panels(shape):
+    # duplicated rows leave zeros on the diagonal, so pivots come from
+    # row swaps, whose multipliers must follow them into the trailing
+    # update
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = random_matrix(rng, *shape, "copies")
     assert rank_mod_p(a, PRIME_A) == oracle_rank(a, PRIME_A)
 
 
