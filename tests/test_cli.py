@@ -186,6 +186,20 @@ def test_enumerate_long_words_streams():
     assert first == " ".join(["1"] * 1200) + "\n"
 
 
+def test_package_runs_as_a_module(tmp_path):
+    path = write_pres(tmp_path, "5 2 manual 0.0 0\n1 5\n1 2\n3 4\n3 -4\n")
+    outs = []
+    for module in ("randgroup", "randgroup.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "certify-free", path],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["remaining_generators"] == [3, 4, 5]
+
+
 @pytest.mark.parametrize("p", ["0.5", "1"])
 def test_sample_long_relators_one_generator(capsys, p):
     code, out, _ = run(capsys, "sample", "-m", "1", "-l", "1500", "--p", p,

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randgroup import freeness
+from randgroup.experiments import decide_verdict, run_trial
 from randgroup.freeness import (
     EliminationCertificate,
     StuckReport,
@@ -222,9 +224,11 @@ def test_matches_reference_loop_stuck(ell, c):
             assert 0 < rep.n_remaining < len(pres)
 
 
+STEP_ZERO = (300, 4, math.log(300) * 300 ** -3.0, 1)
+
+
 def test_matches_reference_loop_stuck_at_step_zero():
-    m = 300
-    pres = _binomial(m, 4, math.log(m) * m ** -3.0, 1)
+    pres = _binomial(*STEP_ZERO)
     rep = _same_as_reference(pres)
     assert isinstance(rep, StuckReport) and rep.n_remaining == len(pres)
 
@@ -276,3 +280,81 @@ def test_certificate_contract():
     assert replay_certificate(pres, fresh())
     assert pickle.loads(pickle.dumps(fresh())) == eager
     assert repr(fresh()) == repr(eager)
+
+
+# ------------------------------------------------- the peel and the order
+
+def _same_as_both(pres):
+    got = _same_as_reference(pres)
+    ref = naive_certify(pres)
+    if isinstance(got, EliminationCertificate):
+        assert got == ref
+    else:
+        assert (got.remaining_relators, got.remaining_generators,
+                got.rank_negative) == (ref.remaining_relators,
+                                       ref.remaining_generators,
+                                       ref.rank_negative)
+    return got
+
+
+def test_stuck_generators_follow_the_smallest_first_order():
+    # the heap takes 2, then 1 (now single), and 5 dies with (1, 5);
+    # pivoting on every single generator of the first round, 2 and 5,
+    # would leave (1, 3, 4)
+    pres = make_presentation(5, 2, [(1, 5), (1, 2), (3, 4), (3, -4)])
+    rep = _same_as_both(pres)
+    assert isinstance(rep, StuckReport)
+    assert rep.remaining_generators == (3, 4, 5)
+    assert rep.remaining_relators == ((3, 4), (3, -4))
+    assert not rep.rank_negative
+
+
+@pytest.mark.parametrize("m, rels", [
+    # 1 and 2 are single in one relator: it goes once, and 3 stays at 2
+    (4, [(1, 2, 3), (3, 4, 4), (3, -4, -4)]),
+    (5, [(1, 2, 3), (1, 2, -3), (3, 4, 4), (3, -4, -4), (5, 5, 5)]),
+    # every letter single: one round clears both relators
+    (6, [(1, 2, 3), (4, 5, 6)]),
+    # 3 goes from 2 to 0 in one round, through two relators
+    (6, [(1, 3, 5), (2, 3, 6)]),
+    # 2 and 3 pass through 1 within their relators' round
+    (4, [(1, 2, 2), (3, 3, 4)]),
+    (5, [(1, 2, 2), (2, 3, 3), (4, 4, 5), (-4, -4, 5)]),
+    (5, [(1, 2, 2, 3), (2, 3, 4, 4), (4, 5, 5, 5)]),
+    (4, [(1, 1, 2), (-1, -1, 2), (2, 3, 3), (3, 4, 4)]),
+])
+def test_peel_edges_match_both_references(m, rels):
+    _same_as_both(make_presentation(m, len(rels[0]), rels))
+
+
+def _refuse_order(pres):
+    raise AssertionError("the ordered elimination loop ran")
+
+
+@pytest.mark.parametrize("m, ell, p, seed", [
+    (30_000, 3, 0.1 * 30_000 ** -2.0, 5),  # free
+    (3000, 3, 0.2 * 3000 ** -2.0, 0),      # stuck midway
+    STEP_ZERO,
+])
+def test_verdict_cascade_never_orders(monkeypatch, m, ell, p, seed):
+    params = ModelParams(m=m, ell=ell, param=p, seed=seed)
+    pres = sample_binomial(params)
+    ref = reference_certify_free(pres)
+    free = isinstance(ref, EliminationCertificate)
+    monkeypatch.setattr(freeness, "_elimination_order", _refuse_order)
+
+    record = run_trial("binomial", params)
+    assert record.free == free
+    assert record.final_rank == (ref.final_rank if free else None)
+    cert = decide_verdict(pres).certificate
+    if free:
+        assert cert.final_rank == ref.final_rank
+        with pytest.raises(AssertionError):
+            cert.steps
+    else:
+        assert (cert.n_remaining, cert.rank_negative) == (
+            ref.n_remaining, ref.rank_negative)
+        assert cert.remaining_matrix.tolist() == ref.remaining_matrix.tolist()
+        assert repr(cert) == repr(ref)
+        with pytest.raises(AssertionError):
+            cert.remaining_generators
