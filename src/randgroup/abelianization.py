@@ -61,7 +61,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ._modrank import _MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red
-from .errors import BudgetExceededError, CapExceededError
+from .errors import BudgetExceededError
 from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
@@ -100,8 +100,8 @@ def exponent_matrix(pres: Presentation) -> np.ndarray:
     """
     k = len(pres)
     if k * pres.m > _DENSE_CAP:
-        raise CapExceededError(
-            f"dense exponent matrix would hold {k * pres.m} entries")
+        raise BudgetExceededError("exponent_matrix", _DENSE_CAP,
+                                  f"{k} x {pres.m} dense entries")
     out = np.zeros((k, pres.m), dtype=np.int64)
     rows, cols, vals, _ = _exponent_entries(pres)
     out[rows, cols] = vals
@@ -489,9 +489,8 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     if len(pres) == 0:
         return AbelianInvariants(betti=m, torsion=())
     if m * min(m, len(pres)) > _DENSE_CAP:
-        raise CapExceededError(
-            f"dense row basis would need {m} x {min(m, len(pres))} entries; "
-            f"cap is {_DENSE_CAP}")
+        raise BudgetExceededError("abelian_invariants", _DENSE_CAP,
+                                  f"{m} x {min(m, len(pres))} dense entries")
     chunks = _chunks_of_rows(_exponent_entries(pres), m)
     basis = _fold((row for chunk in chunks for row in chunk), m)
     diags = smith_normal_form(basis.matrix())

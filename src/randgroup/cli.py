@@ -17,7 +17,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from .abelianization import abelian_invariants
-from .errors import BudgetExceededError, CapExceededError, DomainError
+from .errors import BudgetExceededError, DomainError
 from .experiments import (CONFIG_KEYS, GRID_KINDS, Budgets, SweepConfig,
                           decide_verdict, sampler_param, sweep)
 from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M, _as_eps
@@ -258,11 +258,9 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:
         print(f"error: a sweep worker died: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, CapExceededError) as exc:
-        _emit({"error": type(exc).__name__,
-               "message": str(exc),
-               "check": getattr(exc, "check", None),
-               "limit": getattr(exc, "limit", None)})
+    except BudgetExceededError as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc),
+               "check": exc.check, "limit": exc.limit})
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 Each error corresponds to a contract violation or a resource limit that
 callers are expected to handle; plain bugs raise the usual built-ins.
+Every resource limit raises BudgetExceededError, and every error pickles.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ class EmptyWordError(ValueError):
 
 class NotCyclicallyReducedError(ValueError):
     """A relator failed the cyclic-reduction requirement."""
-
-
-class CapExceededError(RuntimeError):
-    """An enumeration would produce more items than the configured cap."""
 
 
 class DomainError(ValueError):
@@ -32,19 +29,18 @@ class LengthMismatchError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact search exceeded its node or size budget.
-
-    Carries enough structure for callers to report which check gave up.
-    """
+    """A search or an allocation would exceed its budget: ``check`` names
+    the public entry point that gave up and ``limit`` the budget."""
 
     def __init__(self, check: str, limit: int, detail: str = ""):
         self.check = check
         self.limit = limit
         self.detail = detail
-        msg = f"budget exceeded in {check} (limit {limit})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"budget exceeded in {check} (limit {limit})"
+                         + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        return type(self), (self.check, self.limit, self.detail)
 
 
 class NoCrossingError(ValueError):
@@ -60,4 +56,8 @@ class PresentationFormatError(ValueError):
 
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
+        self.message = message
         super().__init__(f"line {lineno}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.lineno, self.message)

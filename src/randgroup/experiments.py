@@ -39,9 +39,10 @@ from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
                               LWitness, SLWitness, _as_eps, check_L_exact,
                               check_SL_exact, unused_generators)
 from .freeness import EliminationCertificate, StuckReport, certify_free
-from .hypergraph import diagnostics
-from .model import (MODEL_TAGS, ModelParams, Presentation, density_to_p,
-                    euler_characteristic, p_to_density, sample)
+from .hypergraph import _DENSE_CAP, diagnostics
+from .model import (MAX_RELATORS, MODEL_TAGS, ModelParams, Presentation,
+                    _mean_count, density_to_p, euler_characteristic,
+                    p_to_density, sample, uniform_count_size, universe_size)
 from .words import is_integer
 
 Z95 = 1.959963984540054
@@ -49,6 +50,11 @@ Z95 = 1.959963984540054
 ALL_ANALYSES = frozenset({"diagnostics", "abelianization", "fa"})
 
 GRID_KINDS = ("p", "density", "c_log_pow")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise DomainError(message)
 
 
 @dataclass(frozen=True)
@@ -61,12 +67,10 @@ class Budgets:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not is_integer(value) or value < 0:
-                raise DomainError(f"budget {f.name} must be a non-negative "
-                                  f"integer, got {value!r}")
-        if self.sl_max_m > SL_SCAN_LIMIT:
-            raise DomainError(f"budget sl_max_m={self.sl_max_m} exceeds the "
-                              f"split scan limit {SL_SCAN_LIMIT}")
+            _check(is_integer(value) and value >= 0, f"budget {f.name} must "
+                   f"be a non-negative integer, got {value!r}")
+        _check(self.sl_max_m <= SL_SCAN_LIMIT, f"budget sl_max_m="
+               f"{self.sl_max_m} exceeds the split scan limit {SL_SCAN_LIMIT}")
 
 
 def _holds(result) -> Optional[bool]:
@@ -142,11 +146,6 @@ def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
                     tuple(budget_errors))
 
 
-def _check(ok: bool, message: str) -> None:
-    if not ok:
-        raise DomainError(message)
-
-
 def _check_keys(given, names, what: str) -> None:
     unknown = set(given) - set(names)
     _check(not unknown, f"unknown {what} keys {sorted(unknown)}")
@@ -206,8 +205,9 @@ class SweepConfig:
         lists pass where tuples are held."""
         ms, grid, kind = self.ms, self.grid, self.grid_kind
         _check(isinstance(ms, (list, tuple)) and len(ms) > 0
-               and all(is_integer(m) and m >= 1 for m in ms),
-               f"ms must be a non-empty list of positive integers, got {ms!r}")
+               and all(is_integer(m) and 1 <= m < _DENSE_CAP for m in ms),
+               f"ms must be a non-empty list of integers in [1, {_DENSE_CAP})"
+               f", the incidence index cap, got {ms!r}")
         _check(is_integer(self.ell) and self.ell >= 1,
                f"ell must be a positive integer, got {self.ell!r}")
         _check(self.model in MODEL_TAGS and self.model != "manual",
@@ -238,9 +238,10 @@ class SweepConfig:
             f"a {kind} grid is a list of "
             f"{'[c, a] pairs' if pairs else 'numbers'}, got {grid!r}")
         for pt in self.points():
-            if not 0.0 <= pt.p <= 1.0:
-                raise DomainError(
-                    f"grid resolves to p={pt.p} outside [0,1] at m={pt.m}")
+            _check(0.0 <= pt.p <= 1.0,
+                   f"grid resolves to p={pt.p} outside [0,1] at m={pt.m}")
+            _check(_relator_bound(pt) <= MAX_RELATORS, f"p={pt.p} at "
+                   f"m={pt.m} exceeds the relator cap {MAX_RELATORS}")
 
     def points(self) -> list["GridPoint"]:
         return [GridPoint(m=m, ell=self.ell, model=self.model,
@@ -261,7 +262,22 @@ def _resolve_p(kind: str, raw, m: int, ell: int) -> float:
     if kind == "density":
         return density_to_p(m, ell, float(raw))
     c, a = raw
-    return float(c) * math.log(m) ** float(a) * float(m) ** (1 - ell)
+    try:
+        return float(c) * math.log(m) ** float(a) * float(m) ** (1 - ell)
+    except ArithmeticError:
+        raise DomainError(f"grid entry {raw!r} gives no p at m={m}") from None
+
+
+def _relator_bound(pt: "GridPoint") -> float:
+    """A point's relator count, or the top of its Binomial's 8-sigma band."""
+    try:
+        if pt.model == "uniform_count":
+            return uniform_count_size(pt.m, pt.ell, pt.param)
+    except BudgetExceededError:  # past float range
+        return math.inf
+    n = universe_size(pt.m, pt.ell, pt.model == "positive")
+    mean = _mean_count(n, pt.p)
+    return mean + 8.0 * math.sqrt(mean)
 
 
 def sampler_param(model: str, kind: str, raw, m: int, ell: int) -> float:
@@ -549,13 +565,11 @@ def estimate_threshold(result_or_summaries, statistic: str,
         raise DomainError(f"unknown direction {direction!r}")
     summaries = getattr(result_or_summaries, "summaries", result_or_summaries)
     pts = [s for s in summaries if m is None or s.m == m]
-    if len(pts) < 2:
-        raise DomainError("need at least two grid points")
+    _check(len(pts) >= 2, "need at least two grid points")
     ys = []
     for s in pts:
         y = getattr(s, statistic)
-        if y is None:
-            raise DomainError(f"statistic {statistic!r} was not computed")
+        _check(y is not None, f"statistic {statistic!r} was not computed")
         ys.append(float(y))
     xs = [s.p for s in pts]
     ns = [s.trials for s in pts]

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError
+from .errors import BudgetExceededError, DomainError
 from .model import Presentation, _letter_codes, key_runs, row_keys
 
 
@@ -98,9 +98,8 @@ def build(pres: Presentation) -> SupportHypergraph:
     """The presentation's incidence index, made on first use and cached."""
     if pres._index is None:
         if pres.m + 1 > _DENSE_CAP:
-            raise CapExceededError(
-                f"generator counts would hold {pres.m + 1} entries; "
-                f"cap is {_DENSE_CAP}")
+            raise BudgetExceededError("incidence_index", _DENSE_CAP,
+                                      f"{pres.m + 1} generator counts")
         # one sort of the letter codes orders generators and signs at once
         codes = np.sort(_letter_codes(pres.relator_matrix), axis=1)
         gens = (codes >> 1).astype(np.int32) + 1

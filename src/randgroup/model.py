@@ -46,6 +46,7 @@ from typing import IO
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     CountExceedsUniverseError,
     DomainError,
     LengthMismatchError,
@@ -363,21 +364,27 @@ def _sample_positive_words_matrix(m: int, ell: int, size: int,
 # model samplers
 
 
+def _mean_count(n_universe: int, p: float) -> float:
+    """N p as float(N) * p, or through logs where float(N) overflows."""
+    try:
+        return float(n_universe) * p
+    except OverflowError:
+        log_mean = math.log(n_universe) + math.log(p) if p else -math.inf
+        return math.exp(log_mean) if log_mean < 709.0 else math.inf
+
+
 def _draw_relator_count(n_universe: int, p: float, rng: np.random.Generator,
                         notes: list[str]) -> int:
     """Binomial(N, p) with N exact; Poisson fallback only in its safe regime."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0,1], got {p}")
     if n_universe <= _INT64_MAX:
         return int(rng.binomial(n_universe, p))
-    mean = float(n_universe) * p
+    mean = _mean_count(n_universe, p)
     if p < 1e-8 and mean < float(_INT64_MAX):
         notes.append("poisson_approximation")
         return int(rng.poisson(mean))
-    raise DomainError(
-        "universe exceeds 2^63 and the Poisson regime does not apply; "
-        "exact binomial sampling is not available at this size"
-    )
+    raise DomainError("universe exceeds 2^63 and the Poisson regime does not "
+                      "apply; exact binomial sampling is not available at "
+                      "this size")
 
 
 def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
@@ -397,8 +404,8 @@ def _sample_distinct(m: int, ell: int, k: int, positive: bool,
         raise CountExceedsUniverseError(
             f"requested {k} distinct relators from a universe of {n_universe}")
     if k > MAX_RELATORS:
-        raise DomainError(
-            f"requested {k} relators exceeds the materialization cap {MAX_RELATORS}")
+        raise BudgetExceededError("sample", MAX_RELATORS,
+                                  f"{k} relators requested")
     if k == 0:
         return np.empty((0, ell), dtype=np.int32)
     if 2 * k > n_universe:
@@ -462,7 +469,11 @@ def uniform_count_size(m: int, ell: int, d: float) -> int:
     """floor((2m-1)^(ell*d)), with a tiny tolerance so exact powers stay exact."""
     if not 0.0 < d < 1.0:
         raise DomainError(f"density must lie in (0,1), got {d}")
-    x = float(2 * m - 1) ** (ell * d)
+    try:
+        x = float(2 * m - 1) ** (ell * d)
+    except OverflowError:  # past float range, so past MAX_RELATORS
+        raise BudgetExceededError("sample", MAX_RELATORS, "(2m-1)^(ell*d) "
+                                  f"at m={m}, ell={ell}, d={d}") from None
     nearest = round(x)
     if abs(x - nearest) < 1e-9 * max(1.0, abs(x)):
         return int(nearest)

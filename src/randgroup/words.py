@@ -15,7 +15,7 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Iterator
 
-from .errors import CapExceededError, EmptyWordError
+from .errors import BudgetExceededError, EmptyWordError
 
 Word = tuple[int, ...]
 
@@ -110,14 +110,13 @@ def enumerate_cyclically_reduced(
 ) -> list[Word]:
     """All cyclically reduced words of length ell, lexicographically ordered.
 
-    Raises CapExceededError up front when the exact count exceeds ``cap``,
-    so no partial enumeration is ever returned.
+    Raises BudgetExceededError("enumerate_cyclically_reduced", cap) up
+    front when the exact count exceeds ``cap``: no partial list is returned.
     """
     total = count_cyclically_reduced(m, ell)
     if total > cap:
-        raise CapExceededError(
-            f"enumeration of {total} words exceeds cap {cap} (m={m}, ell={ell})"
-        )
+        raise BudgetExceededError("enumerate_cyclically_reduced", cap,
+                                  f"{total} words at m={m}, ell={ell}")
     out = list(iter_cyclically_reduced(m, ell))
     assert len(out) == total
     return out

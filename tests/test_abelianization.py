@@ -116,6 +116,17 @@ def test_exponent_matrix_examples():
     assert exponent_matrix(p).shape == (0, 3)
 
 
+def test_exponent_matrix_cap_raises_typed_error(monkeypatch):
+    pres = make_presentation(4, 3, [(1, 2, 3), (2, 3, 4)])
+    monkeypatch.setattr(abz, "_DENSE_CAP", 7)
+    with pytest.raises(BudgetExceededError) as err:
+        exponent_matrix(pres)
+    assert err.value.check == "exponent_matrix"
+    assert err.value.limit == 7
+    monkeypatch.setattr(abz, "_DENSE_CAP", 8)
+    assert exponent_matrix(pres).shape == (2, 4)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_exponent_matrix_matches_direct_count(data):

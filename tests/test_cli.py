@@ -274,7 +274,9 @@ def test_cap_error_gives_structured_json(tmp_path, capsys):
     path = write_pres(tmp_path, "300000001 3 manual 0.0 0\n1 2 3\n")
     code, out, _ = run(capsys, "abelianize", path)
     assert code == 1
-    assert json.loads(out)["error"] == "CapExceededError"
+    assert json.loads(out)["error"] == "BudgetExceededError"
+    assert json.loads(out)["check"] == "abelian_invariants"
+    assert json.loads(out)["limit"] == 2 * 10**8
 
 
 @pytest.mark.parametrize("command", ["analyze", "certify-free", "check-fa"])
@@ -283,7 +285,65 @@ def test_huge_generator_count_hits_cap_before_allocating(tmp_path, capsys,
     path = write_pres(tmp_path, "1000000000000 3 binomial 0.5 7\n1 2 1\n")
     code, out, err = run(capsys, command, path)
     assert code == 1 and err == ""
-    assert json.loads(out)["error"] == "CapExceededError"
+    assert json.loads(out)["error"] == "BudgetExceededError"
+    assert json.loads(out)["check"] == "incidence_index"
+    assert json.loads(out)["limit"] == 2 * 10**8
+
+
+@pytest.mark.parametrize("argv, check, limit", [
+    (["abelianize", "300000001 3 manual 0.0 0\n1 2 3\n"],
+     "abelian_invariants", 2 * 10**8),
+    (["analyze", "1000000000000 3 binomial 0.5 7\n1 2 1\n"],
+     "incidence_index", 2 * 10**8),
+    (["certify-free", "1000000000000 3 binomial 0.5 7\n1 2 1\n"],
+     "incidence_index", 2 * 10**8),
+    (["check-fa", "1000000000000 3 binomial 0.5 7\n1 2 1\n"],
+     "incidence_index", 2 * 10**8),
+    (["sample", "-m", "40", "-l", "6", "--density", "0.9"], "sample", 10**7),
+    (["sample", "-m", "1000000", "-l", "100", "--model", "uniform_count",
+      "--density", "0.9"], "sample", 10**7),
+])
+def test_every_limit_prints_one_json_line(tmp_path, capsys, argv, check,
+                                          limit):
+    if argv[0] != "sample":
+        argv = [argv[0], write_pres(tmp_path, argv[1])]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report.pop("message").startswith(
+        f"budget exceeded in {check} (limit {limit})")
+    assert report == {"error": "BudgetExceededError", "check": check,
+                      "limit": limit}
+
+
+@pytest.mark.parametrize("argv", [
+    # beyond the relator cap at d=0.9, and beyond the incidence index cap
+    ["--ms", "40", "-l", "6", "--grid", "0.1,0.5,0.9",
+     "--grid-kind", "density"],
+    ["--ms", "300000000", "-l", "3", "--grid", "1e-25"],
+    # (ln 1)^-1, and (ln 3)^1e308
+    ["--ms", "1", "-l", "3", "--grid", "1:-1", "--grid-kind", "c_log_pow"],
+    ["--ms", "3", "-l", "3", "--grid", "1:1e308", "--grid-kind", "c_log_pow"],
+])
+def test_sweep_refuses_a_bad_point_before_any_trial(tmp_path, capsys, argv):
+    target = tmp_path / "s.csv"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--model", "binomial", "--trials",
+                         "3", "--threads", "1", "-o", str(target), *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_sample_at_p_zero_past_float_range_draws_nothing(capsys):
+    # the universe (2m-1)^ell is past float range
+    code, out, err = run(capsys, "sample", "-m", "1000000", "-l", "60",
+                         "--p", "0")
+    assert code == 0
+    assert out == "1000000 60 binomial 0.0 0\n"
+    assert err.endswith("|R|=0\n")
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import randgroup.abelianization as abz
 from randgroup import experiments
-from randgroup.errors import (DomainError, NoCrossingError,
-                              NonMonotoneTrendError)
+from randgroup.errors import (BudgetExceededError, DomainError,
+                              NoCrossingError, NonMonotoneTrendError)
 from randgroup.experiments import (
     ALL_ANALYSES,
     Budgets,
@@ -34,8 +34,9 @@ from randgroup.experiments import (
     trial_seed,
     wilson_interval,
 )
-from randgroup.model import (ModelParams, density_to_p, sample,
-                             uniform_count_size)
+from randgroup.hypergraph import _DENSE_CAP
+from randgroup.model import (MAX_RELATORS, ModelParams, density_to_p, sample,
+                             uniform_count_size, universe_size)
 
 from oracles import reference_fa_verdict
 
@@ -208,6 +209,44 @@ def test_dead_worker_fails_sweep_instead_of_hanging():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: a sweep worker died")
+
+
+def test_worker_budget_error_reaches_the_parent(monkeypatch):
+    # the error crosses the pool by pickle; one that fails to unpickle
+    # breaks the pool instead
+    def over_budget(pres):
+        raise BudgetExceededError("incidence_index", 7, "in a worker")
+
+    monkeypatch.setattr(experiments, "certify_free", over_budget)
+    with pytest.raises(BudgetExceededError) as err:
+        sweep(mk_config(trials=4), workers=2)
+    assert (err.value.check, err.value.limit, err.value.detail) == (
+        "incidence_index", 7, "in a worker")
+
+
+def test_sweep_refuses_points_past_the_size_caps():
+    # mean N p + 8 sqrt(N p) at the relator cap, for the binomial at m=40
+    n = universe_size(40, 6)
+    root = (-8.0 + math.sqrt(64.0 + 4.0 * MAX_RELATORS)) / 2.0
+    p_edge = root * root / n
+    mk_config(ms=(40,), ell=6, grid=(p_edge * (1 - 1e-6),)).validate()
+    for bad in (dict(ms=(40,), ell=6, grid=(p_edge * (1 + 1e-6),)),
+                dict(ms=(40,), ell=6, grid=(0.1, 0.5, 0.9),
+                     grid_kind="density"),
+                dict(ms=(40,), ell=6, model="uniform_count", grid=(0.65,),
+                     grid_kind="density"),
+                dict(ms=(10**6,), ell=100, model="uniform_count",
+                     grid=(0.9,), grid_kind="density"),
+                dict(ms=(_DENSE_CAP,), grid=(0.0,)),
+                dict(ms=(1,), grid=((1.0, -1.0),), grid_kind="c_log_pow"),
+                dict(ms=(3,), grid=((1.0, 1e308),), grid_kind="c_log_pow")):
+        with pytest.raises(DomainError):
+            mk_config(**bad).validate()
+    mk_config(ms=(_DENSE_CAP - 1,), grid=(0.0,)).validate()
+    k = uniform_count_size(40, 6, 0.6)
+    assert k <= MAX_RELATORS
+    mk_config(ms=(40,), ell=6, model="uniform_count", grid=(0.6,),
+              grid_kind="density").validate()
 
 
 def test_sweep_rejects_epsilon_outside_unit_interval():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgroup.errors import (
-    CapExceededError,
+    BudgetExceededError,
     EmptyWordError,
     NotCyclicallyReducedError,
 )
@@ -89,8 +89,10 @@ def test_iterator_first_word_needs_no_alphabet():
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         enumerate_cyclically_reduced(3, 6, cap=100)
+    assert err.value.check == "enumerate_cyclically_reduced"
+    assert err.value.limit == 100
 
 
 def test_letter_order():
