@@ -14,10 +14,11 @@ whole trailing block, so throughput is BLAS-bound.
 
 The one caller is the rational-rank decision, which ranks the
 compressed peeled core of the exponent matrix (abelianization's
-_core_rank) mod each of the two primes: full rank mod p certifies full
-rank over the rationals outright, while a deficit is only evidence and
-the caller escalates. A whole integer matrix is ranked through the
-reference wrapper rank_mod_p in tests/oracles.py.
+_core_rank) mod primes below 2^19: full rank mod p certifies full rank
+over the rationals outright, and on a deficit the caller reads the
+first kernel vector of the eliminated core, lifts it to the integers
+over several primes and checks it exactly. A whole integer matrix is
+ranked through the reference wrapper rank_mod_p in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -101,3 +102,19 @@ def _eliminate(M: np.ndarray, p: int) -> int:
         if lcols and j1 < m:
             _sweep_and_update(M, np.column_stack(lcols), r0, r, j1, p)
     return r
+
+
+def _kernel_vector(M: np.ndarray, r: int, p: int) -> tuple[int, np.ndarray]:
+    """First free column f of an M that _eliminate left with rank r < its
+    width, and the kernel vector y mod p with y[f] = 1 and zeros past f,
+    by back substitution: the columns before f pivot rows 0..f-1."""
+    U = _red(M[:r], p).astype(np.int64)
+    lead = np.argmax(U != 0, axis=1)
+    late = np.flatnonzero(lead != np.arange(r))
+    f = int(late[0]) if len(late) else r
+    y = np.zeros(M.shape[1], dtype=np.int64)
+    y[f] = 1
+    for t in range(f - 1, -1, -1):
+        dot = int(U[t, t + 1:f + 1] @ y[t + 1:f + 1])
+        y[t] = -dot * pow(int(U[t, t]), -1, p) % p
+    return f, y

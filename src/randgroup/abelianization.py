@@ -17,62 +17,61 @@ relators against thousands of generators:
      Smith). Rows with exactly one nonzero outside the resolved
      columns are pivoted there, in batched rounds; when none is left,
      the unresolved column with the most nonzeros joins a seed set S.
-     Each pivot is a nonzero exponent of absolute value at most ell,
-     hence a unit mod either prime (the peel never pivots on an
-     exponent as large as a prime), so the pivot block is triangular
-     with unit diagonal and the rank is |C| + rank of the core: the
-     other rows with the pivot columns C solved away, |S| columns
-     wide. The core rows are randomly partitioned into |S| + 64
-     balanced buckets and each bucket summed with random nonzero
-     coefficients. Compression only ever loses rank, so a full-rank
-     compressed core proves full rational rank, settling the question
-     exactly. A plain row sample would not work here: with short
-     relators it misses columns outright. The core is lossless when
-     there are kn <= m + 64 nonzero rows: it then has at most
+     Each pivot is a nonzero exponent of absolute value below 2^18
+     (the peel never pivots on a larger one), hence a unit mod every
+     prime used, all of which lie between 2^18 and 2^19, so the pivot
+     block is triangular with unit diagonal and the rank is |C| + rank
+     of the core: the other rows with the pivot columns C solved away,
+     |S| columns wide. The core rows are randomly partitioned into
+     |S| + 64 balanced buckets and each bucket summed with random
+     nonzero coefficients. Compression only ever loses rank, so a
+     full-rank compressed core proves full rational rank, settling the
+     question exactly. A plain row sample would not work here: with
+     short relators it misses columns outright. The core is lossless
+     when there are kn <= m + 64 nonzero rows: it then has at most
      kn - |C| <= |S| + 64 rows, one per bucket, so its rank mod p is
      that of the whole matrix. Its dense part, (|S| + 64) x m buckets
      and the m x |S| solve, is gated by the same cap as the other
      dense work, as a typed BudgetExceededError.
-  3. exact integer elimination for m <= RANK_EXACT_MAX generators and
-     at most max(20 m, m + 64) nonzero rows.
-  4. otherwise the core mod PRIME_B, with a fresh random compression.
-     A deficit surviving both primes is reported as non-surjection
-     with exact=False; the error probability is tiny but not zero.
-     The method says "rank_deficient_mod_two_primes" when the core was
-     lossless, so only the primes can be unlucky, and
-     "aggregated_rank_deficient_mod_two_primes" when the compression
-     might also have lost rank.
+  3. on a deficit, a witness w in ℤ^m, primitive and nonzero, with
+     E w = 0 checked exactly on the sparse rows. The core's kernel
+     vector mod p, 1 at its first free column f and 0 past it, maps
+     through the solve to x mod p; over ℚ, x is a ratio of minors of E
+     (Cramer), each at most H, the product of the largest row norms
+     (Hadamard). The primes below 2^19 follow, each with a fresh
+     compression. Lost rank can only move f earlier, so a prime with an
+     earlier f than the best is skipped, and a later f restarts. x is
+     combined by the Chinese remainder theorem, lifted after each prime
+     by rational reconstruction (Wang, 1981) and checked. Past a
+     modulus of 2 H^2 the lift is unique, so a failed check there moves
+     f on by one. Only running out of primes raises BudgetExceededError.
 
-All exact integer work runs through one kernel, IntegerRowBasis, which
-folds rows into a lattice basis by Bezout steps, in int64 while a bound
-allows and in Python integers past it, and keeps each stored row reduced
-at the later pivot columns. The Smith form reuses it, folding rows and
-columns in turn. On a 2-core box a dense n x n matrix with entries in
-[-3, 3] takes about 0.001 s at n = 12, 0.01 s at 40, 0.035 s at 60 and
-0.14 s at 80.
+All exact integer work on whole matrices runs through one kernel,
+IntegerRowBasis, which folds rows into a lattice basis by Bezout steps
+in Python integers, and keeps each stored row reduced at the later pivot
+columns. The Smith form reuses it, folding rows and columns in turn. On
+a 2-core box a dense n x n matrix with entries in [-3, 3] takes about
+0.001 s at n = 12, 0.01 s at 40, 0.035 s at 60 and 0.14 s at 80.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._modrank import _MAX_DIM, PRIME_A, PRIME_B, _eliminate, _red
+from ._modrank import _MAX_DIM, _eliminate, _kernel_vector, _red
 from .errors import BudgetExceededError
 from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
-# exact integer elimination is the default up to this many generators
-RANK_EXACT_MAX = 512
 # extra buckets beyond the seed count in the compressed core
 _SUB_EXTRA = 64
-# above max(this many rows per generator, m + _SUB_EXTRA) rows the
-# exact fallback is skipped
-_EXACT_ROW_FACTOR = 20
 _CHUNK = 8192
+# the rank primes are those in [_PRIME_FLOOR, 2 * _PRIME_FLOOR)
+_PRIME_FLOOR = 2**18
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,7 @@ class ZSurjectionReport:
     surjects: bool
     exact: bool
     method: str
+    witness: Optional[tuple[int, ...]] = None
 
 
 def exponent_matrix(pres: Presentation) -> np.ndarray:
@@ -141,9 +141,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-_INT64_SAFE = 2**62
-
-
 class IntegerRowBasis:
     """Streaming row-lattice accumulator over the integers.
 
@@ -153,65 +150,32 @@ class IntegerRowBasis:
     in. Each row stored as a pivot, new or rebuilt by a Bezout step, has
     its entries at the later pivot columns reduced below those pivots;
     without that, Bezout steps alone grew the rows of a 100-generator
-    fold to thousands of bits. Rows are int64 arrays, every entry below
-    _INT64_SAFE in magnitude, until a combination could cross that bound
-    or a row arrives that does not fit; from then on every row is an
-    array of Python integers, and the same expressions run on it.
+    fold to thousands of bits. Rows are arrays of Python integers, so no
+    entry can overflow.
     """
 
     def __init__(self, m: int):
         self.m = m
         self.pivots: dict[int, np.ndarray] = {}
-        self.big = False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _promote(self) -> None:
-        if not self.big:
-            self.pivots = {j: row.astype(object)
-                           for j, row in self.pivots.items()}
-            self.big = True
-
-    def _row(self, row) -> np.ndarray:
-        try:
-            v = np.array(row, dtype=np.int64)
-            fits = -_INT64_SAFE < v.min(initial=0) <= v.max(initial=0) \
-                < _INT64_SAFE
-        except OverflowError:
-            v, fits = np.array([int(x) for x in row], dtype=object), False
-        if not fits:
-            self._promote()
-        return v.astype(object) if self.big else v
-
-    def _widen(self, j: int, v: np.ndarray, cp: int, cv: int):
-        """Pivot j and v, promoted first if cp * |pivot| + cv * |v| might
-        reach _INT64_SAFE; below that bound np.abs cannot overflow."""
-        piv = self.pivots[j]
-        if not self.big and (cp * int(np.abs(piv).max())
-                             + cv * int(np.abs(v).max()) >= _INT64_SAFE):
-            self._promote()
-            return self.pivots[j], v.astype(object)
-        return piv, v
-
     def _store(self, j: int, row: np.ndarray) -> None:
         """Row as pivot j, with its entry at each later pivot column k
         reduced into [0, pivot k), in ascending k. Pivot k is zero left
         of k, so each step is unimodular and keeps column j leading."""
-        if self.big:
-            row = row.astype(object)
         for k in sorted(self.pivots):
             if k > j:
-                q = int(row[k]) // int(self.pivots[k][k])
+                q = row[k] // self.pivots[k][k]
                 if q:
-                    piv, row = self._widen(k, row, abs(q), 1)
-                    row = row - q * piv
+                    row = row - q * self.pivots[k]
         self.pivots[j] = row
 
     def add(self, row) -> bool:
         """Fold one row in; True if the rank grew."""
-        v = self._row(row)
+        v = np.array([int(x) for x in row], dtype=object)
         while True:
             nz = v.nonzero()[0]
             if not len(nz):
@@ -220,21 +184,16 @@ class IntegerRowBasis:
             if j not in self.pivots:
                 self._store(j, -v if v[j] < 0 else v)
                 return True
-            a = int(self.pivots[j][j])
-            b = int(v[j])
+            piv = self.pivots[j]
+            a, b = piv[j], v[j]
             if b % a == 0:
                 # keep the pivot: a Bezout step with (x, y) = (1, 0)
                 # would rebuild it for nothing
-                q = b // a
-                piv, v = self._widen(j, v, abs(q), 1)
-                v = v - q * piv
+                v = v - b // a * piv
             else:
                 g, x, y = _xgcd(a, b)
-                qa, qb = a // g, b // g
-                piv, v = self._widen(j, v, max(abs(x), abs(qb)),
-                                     max(abs(y), abs(qa)))
                 self._store(j, x * piv + y * v)
-                v = qa * v - qb * piv
+                v = a // g * v - b // g * piv
 
     def matrix(self) -> list[list[int]]:
         """Stored rows by pivot column; generates the input row lattice."""
@@ -296,16 +255,6 @@ def _chunks_of_rows(entries, m: int) -> Iterator[np.ndarray]:
         yield out
 
 
-def _exact_rank(entries, m: int) -> int:
-    basis = IntegerRowBasis(m)
-    for chunk in _chunks_of_rows(entries, m):
-        for row in chunk:
-            basis.add(row)
-            if basis.rank == m:
-                return m
-    return basis.rank
-
-
 class _Peel(NamedTuple):
     """Where the peel left the exponent matrix.
 
@@ -354,9 +303,9 @@ def _peel(entries, m: int) -> _Peel:
     touched = np.flatnonzero(left == 1)
     while n_resolved < m:
         cand = np.sort(touched[left[touched] == 1])
-        # a pivot must be a unit mod both primes; |exponent| <= ell
-        # makes that automatic unless ell reaches the smaller prime
-        cand = cand[np.abs(val_sum[cand]) < PRIME_B]
+        # a pivot must be a unit mod every rank prime; |exponent| <= ell
+        # makes that automatic unless ell reaches _PRIME_FLOOR
+        cand = cand[np.abs(val_sum[cand]) < _PRIME_FLOOR]
         if len(cand):
             new, first = np.unique(col_sum[cand], return_index=True)
             rounds.append((cand[first], new, val_sum[cand[first]]))
@@ -376,8 +325,11 @@ def _peel(entries, m: int) -> _Peel:
     return _Peel(rounds, np.array(seeds, dtype=np.int64), local)
 
 
-def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
-    """Rank mod p of the exponent matrix, up to compression of its core.
+def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
+               ) -> tuple[int, int, Optional[np.ndarray]]:
+    """Rank mod p of the exponent matrix, up to compression of its core;
+    on a deficit also the core's first free column f and x = X y mod p
+    for the kernel vector y of _kernel_vector (else |S| and None).
 
     With pivot columns C and seed columns S, let X be the m x |S|
     matrix that is the identity on S and solves P X = 0 on the pivot
@@ -389,12 +341,13 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     |S| + 64 random buckets with random nonzero coefficients, which can
     only lose rank; a full-rank compressed core therefore proves full
     rank mod p, hence over ℚ. With at most |S| + 64 rows in N, each
-    bucket holds at most one and the rank mod p is exact.
+    bucket holds at most one and the rank mod p is exact. P x = 0 and
+    the compressed core kills y, so E x = 0 mod p when nothing was lost.
     """
     _, cols, vals, row_ptr = entries
     s = len(peel.seeds)
     if s == 0:
-        return m
+        return m, 0, None
     n_buckets = s + _SUB_EXTRA
     if n_buckets * m + m * s > _DENSE_CAP:
         raise BudgetExceededError(
@@ -437,12 +390,58 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int) -> int:
     # blocks of _MAX_DIM keep each product exact in float64
     for lo in range(0, m, _MAX_DIM):
         core = _red(core + B[:, lo:lo + _MAX_DIM] @ Xf[lo:lo + _MAX_DIM], p)
-    return m - s + _eliminate(core, p)
+    r = _eliminate(core, p)
+    if r == s:
+        return m, s, None
+    f, y = _kernel_vector(core, r, p)
+    return m - s + r, f, X[:, :f + 1] @ y[:f + 1] % p
+
+
+def _primes() -> Iterator[int]:
+    """The rank primes, descending: PRIME_A, PRIME_B, then the rest."""
+    for q in range(2 * _PRIME_FLOOR - 1, _PRIME_FLOOR, -2):
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _rational(c: int, mod: int, bound: int) -> tuple[int, int]:
+    """a/b = c mod `mod` with |a| <= bound < b only if no fraction with
+    both parts at most bound agrees with c; unique if 2 bound^2 < mod."""
+    r0, r1, t0, t1 = mod, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(x: np.ndarray, mod: int) -> Optional[list[int]]:
+    """The primitive integer vector along x mod `mod`, each coordinate
+    lifted times the common denominator so far; None if one is too big."""
+    bound = math.isqrt((mod - 1) // 2)
+    d, w = 1, []
+    for xi in x:
+        a, b = _rational(d * xi % mod, mod, bound)
+        if d * b > bound:
+            return None
+        if b > 1:
+            d *= b
+            w = [v * b for v in w]
+        w.append(a)
+    g = math.gcd(*w)
+    return [v // g for v in w]
+
+
+def _kills(entries, w: list[int]) -> bool:
+    """E w == 0, exactly in Python integers, on the sparse rows."""
+    _, cols, vals, row_ptr = entries
+    terms = vals.astype(object) * np.array(w, dtype=object)[cols]
+    return not np.add.reduceat(terms, row_ptr[:-1]).any()
 
 
 def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
-    """Full report of the ℤ-surjection decision: verdict, exactness,
-    and which tier settled it."""
+    """Full report of the ℤ-surjection decision: verdict, exactness
+    (always exact), which tier settled it, and on a rank deficit a
+    primitive w in ℤ^m with exponent_matrix(pres) @ w == 0."""
     m = pres.m
     if len(pres) == 0:
         return ZSurjectionReport(True, True, "no_relators")
@@ -458,19 +457,29 @@ def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
         return ZSurjectionReport(True, True, "total_exponent_sums_all_zero")
 
     peel = _peel(entries, m)
-    if _core_rank(entries, peel, m, PRIME_A, 0x5EED1) == m:
-        return ZSurjectionReport(False, True, "full_rank_mod_p")
-    if m <= RANK_EXACT_MAX and kn <= max(_EXACT_ROW_FACTOR * m,
-                                         m + _SUB_EXTRA):
-        rank = _exact_rank(entries, m)
-        return ZSurjectionReport(rank < m, True, "integer_elimination")
-    if _core_rank(entries, peel, m, PRIME_B, 0x5EED2) == m:
-        return ZSurjectionReport(False, True, "full_rank_mod_p")
-    if kn <= m + _SUB_EXTRA:
-        # the core was lossless: only the two primes can be unlucky
-        return ZSurjectionReport(True, False, "rank_deficient_mod_two_primes")
-    return ZSurjectionReport(True, False,
-                             "aggregated_rank_deficient_mod_two_primes")
+    best, x, i = 0, None, 0
+    for i, p in enumerate(_primes(), 1):
+        rank, f, xp = _core_rank(entries, peel, m, p, 0x5EED0 + i)
+        if rank == m:
+            return ZSurjectionReport(False, True, "full_rank_mod_p")
+        if f < best:
+            continue
+        if f > best or x is None:
+            best, x, mod = f, np.zeros(m, dtype=object), 1
+            # Hadamard: an r x r minor is at most its r row norms' product
+            r = m - len(peel.seeds) + f
+            norms2 = np.sort(np.add.reduceat(vals * vals, row_ptr[:-1]))
+            wang = 2 * math.prod(norms2[len(norms2) - r:].tolist())
+        x = x + mod * ((xp - x % p) * pow(mod, -1, p) % p)
+        mod *= p
+        w = _lift(x, mod)
+        if w is not None and _kills(entries, w):
+            return ZSurjectionReport(True, True, "integer_kernel_vector",
+                                     tuple(w))
+        if mod > wang:  # past 2 H^2 the lift is unique: all lost rank
+            best, x = best + 1, None
+    raise BudgetExceededError("surjects_onto_Z", i, "no kernel vector "
+                              "verified over the primes below 2^19")
 
 
 def surjects_onto_Z(pres: Presentation) -> bool:

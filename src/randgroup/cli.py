@@ -19,7 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from .abelianization import abelian_invariants
 from .errors import BudgetExceededError, DomainError
 from .experiments import (CONFIG_KEYS, GRID_KINDS, Budgets, SweepConfig,
-                          decide_verdict, sampler_param, sweep)
+                          decide_verdict, pool_size, sampler_param, sweep)
 from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M, _as_eps
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
@@ -149,7 +149,8 @@ def _cmd_sweep(args) -> int:
     if not args.output:
         sys.stdout.write(result.csv_text())
     print(f"{len(result.points)} grid points x {config.trials} trials "
-          f"on {workers} workers", file=sys.stderr)
+          f"on {pool_size(workers, len(result.records))} workers",
+          file=sys.stderr)
     return 0
 
 

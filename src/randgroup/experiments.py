@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -82,7 +83,7 @@ class Decision:
     """What decided a verdict. A search result is "holds", a witness,
     or None when the search did not run or raised."""
     certificate: Union[EliminationCertificate, StuckReport]
-    unused: tuple[int, ...]
+    unused: np.ndarray
     l_result: Union[str, LWitness, None]
     sl_result: Union[str, SLWitness, None]
     verdict: str
@@ -99,7 +100,7 @@ class Decision:
         return FAReport(
             verdict=self.verdict, free_certificate=cert,
             rank=cert.final_rank if cert else None,
-            unused_generators=() if cert else self.unused,
+            unused_generators=() if cert else tuple(self.unused.tolist()),
             l_holds=_holds(l_res), sl_holds=_holds(sl_res),
             l_witness=l_res if isinstance(l_res, LWitness) else None,
             sl_witness=sl_res if isinstance(sl_res, SLWitness) else None,
@@ -134,12 +135,12 @@ def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
     l_res = sl_res = None
     if not run_fa:
         skipped.append("fa")
-    elif not (free or unused) and pres.all_positive:
+    elif not (free or len(unused)) and pres.all_positive:
         l_res = search("check_L_exact", budgets.l_max_m, check_L_exact,
                        budget=budgets.l_nodes)
         sl_res = search("check_SL_exact", budgets.sl_max_m, check_SL_exact,
                         max_m=budgets.sl_max_m)
-    verdict = (VERDICT_FREE if free else VERDICT_SPLITS if unused
+    verdict = (VERDICT_FREE if free else VERDICT_SPLITS if len(unused)
                else VERDICT_FA if l_res == "holds" and sl_res == "holds"
                else VERDICT_UNKNOWN)
     return Decision(cert, unused, l_res, sl_res, verdict, tuple(skipped),
@@ -500,6 +501,11 @@ def _sweep_task(args):
                      point_index=pi, trial_index=ti)
 
 
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Worker count of a sweep: fork starts all at once, so <= cores."""
+    return max(1, min(workers, n_tasks, os.cpu_count() or 1))
+
+
 def sweep(config: SweepConfig, workers: int = 1,
           csv_path: Optional[str] = None,
           jsonl_path: Optional[str] = None) -> SweepResult:
@@ -509,14 +515,14 @@ def sweep(config: SweepConfig, workers: int = 1,
     points = config.points()
     tasks = [(config, points, pi, ti)
              for pi in range(len(points)) for ti in range(config.trials)]
-    if workers <= 1 or len(tasks) <= 1:
+    size = pool_size(workers, len(tasks))
+    if size == 1:
         records = [_sweep_task(t) for t in tasks]
     else:
         # a worker that dies raises BrokenProcessPool here
-        chunk = max(1, len(tasks) // (4 * workers))
+        chunk = max(1, len(tasks) // (4 * size))
         with ProcessPoolExecutor(
-                min(workers, len(tasks)),
-                mp_context=multiprocessing.get_context("fork")) as pool:
+                size, mp_context=multiprocessing.get_context("fork")) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=chunk))
     records.sort(key=lambda r: (r.point_index, r.trial_index))
     by_point: list[list[TrialRecord]] = [[] for _ in points]

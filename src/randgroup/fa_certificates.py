@@ -391,5 +391,8 @@ def verify_SL_witness(pres: Presentation, wit: SLWitness,
     return True
 
 
-def unused_generators(pres: Presentation) -> tuple[int, ...]:
-    return tuple((np.flatnonzero(build(pres).counts[1:] == 0) + 1).tolist())
+def unused_generators(pres: Presentation) -> np.ndarray:
+    """The generators no relator uses, ascending, as a read-only array."""
+    out = np.flatnonzero(build(pres).counts[1:] == 0) + 1
+    out.flags.writeable = False
+    return out

@@ -55,8 +55,9 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
                         free_certificate=cert, epsilon=eps,
                         exploratory_epsilon=exploratory)
     unused = unused_generators(pres)
-    if unused:
-        return FAReport(verdict=VERDICT_SPLITS, unused_generators=unused,
+    if len(unused):
+        return FAReport(verdict=VERDICT_SPLITS,
+                        unused_generators=tuple(unused.tolist()),
                         epsilon=eps, exploratory_epsilon=exploratory)
     if not pres.all_positive:
         return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,

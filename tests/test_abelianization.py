@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -244,7 +245,6 @@ def test_row_basis_promotes_to_big_integers():
     basis = IntegerRowBasis(2)
     assert basis.add([1, 2 ** 50])
     assert basis.add([2 ** 50, 1])
-    assert basis.big
     assert basis.rank == 2
     want = snf_oracle([[1, 2 ** 50], [2 ** 50, 1]])
     assert want == (1, 2 ** 100 - 1)
@@ -254,7 +254,6 @@ def test_row_basis_promotes_to_big_integers():
 def test_row_basis_takes_a_row_beyond_int64():
     basis = IntegerRowBasis(2)
     assert basis.add([2 ** 70, 1])
-    assert basis.big
     assert basis.add([3, 5])
     assert not basis.add([2 ** 70 + 3, 6])
     want = snf_oracle([[2 ** 70, 1], [3, 5]])
@@ -310,14 +309,72 @@ def test_fold_of_a_sampled_file_keeps_small_entries():
 
 
 def test_rank_deficient_file_is_decided_exactly():
-    # the integer_elimination tier folds all 2000 rows; the same shape
-    # at m=300 with 5900 rows gave no answer
+    # the fold of all 2000 rows stays small; the witness route decides
+    # the file from the peeled core
     pres = rank_deficient(120, 2000)
     basis = folded(pres)
     assert basis.rank == 119
     assert largest_entry(basis) < 2**32
     assert surjects_onto_Z_details(pres) == \
-        ZR(True, True, "integer_elimination")
+        ZR(True, True, "integer_kernel_vector", (0,) * 118 + (1, 1))
+
+
+def test_large_rank_deficient_file_is_fast():
+    # folding all 5900 rows over the integers takes about 5 s here
+    pres = rank_deficient(300, 5900)
+    t0 = time.perf_counter()
+    rep = surjects_onto_Z_details(pres)
+    assert time.perf_counter() - t0 < 2
+    assert rep == ZR(True, True, "integer_kernel_vector", (0,) * 298 + (1, 1))
+
+
+def chain(m):
+    # rows 2 e_i - e_{i+1}, twice each: the kernel is spanned by
+    # (1, 2, 4, ..., 2^(m-1)), so its lift needs about m bits
+    rels = [(i, k, i, -k, -(i + 1)) for i in range(1, m)
+            for k in (i % m + 1, (i + 1) % m + 1)]
+    return make_presentation(m, 5, rels)
+
+
+@pytest.mark.parametrize("m", [100, 300])
+def test_chain_kernel_vector_is_lifted_exactly(m):
+    pres = chain(m)
+    t0 = time.perf_counter()
+    rep = surjects_onto_Z_details(pres)
+    assert time.perf_counter() - t0 < 10
+    assert rep == ZR(True, True, "integer_kernel_vector",
+                     tuple(2 ** i for i in range(m)))
+
+
+def test_a_wrong_lift_is_caught_by_the_exact_check(monkeypatch):
+    lift, calls = abz._lift, []
+
+    def first_wrong(x, mod):
+        calls.append(mod)
+        return [1] * len(x) if len(calls) == 1 else lift(x, mod)
+
+    monkeypatch.setattr(abz, "_lift", first_wrong)
+    rep = surjects_onto_Z_details(rank_deficient(120, 2000))
+    assert rep.witness == (0,) * 118 + (1, 1) and len(calls) > 1
+
+
+def test_running_out_of_primes_raises(monkeypatch):
+    monkeypatch.setattr(abz, "_primes", lambda: iter([PRIME_A, PRIME_B]))
+    with pytest.raises(BudgetExceededError) as err:
+        surjects_onto_Z_details(chain(100))
+    assert err.value.check == "surjects_onto_Z"
+    assert err.value.limit == 2
+
+
+def test_peel_pivots_only_units_mod_every_prime():
+    # the smallest rank prime is 262147 = 2^18 + 3: an exponent of 2^18
+    # or more is never a pivot, one just below is
+    assert min(abz._primes()) == 2**18 + 3
+    for val, pivots in ((2**18 + 3, 0), (2**18, 0), (2**18 - 1, 1)):
+        entries = tuple(np.array(a) for a in ([0], [0], [val], [0, 1]))
+        peel = abz._peel(entries, 1)
+        assert len(peel.rounds) == pivots
+        assert len(peel.seeds) == 1 - pivots
 
 
 # --------------------------------------------------- abelian invariants
@@ -431,21 +488,29 @@ def balanced_pool_words(n_words):
     return out
 
 
+def kills(pres, w):
+    return not (exponent_matrix(pres).astype(object)
+                @ np.array(w, dtype=object)).any()
+
+
+E1_MINUS_E2 = (1, -1) + (0,) * 6
+
+
 def test_exact_elimination_tier():
-    # 150 rows: above the probe sample, below the exact-scan cutoff
+    # 150 rows, past m + 64 = 72: the core is compressed
     pres = make_presentation(8, 4, balanced_pool_words(150))
     rep = surjects_onto_Z_details(pres)
-    assert rep == ZR(True, True, "integer_elimination")
+    assert rep == ZR(True, True, "integer_kernel_vector", E1_MINUS_E2)
+    assert kills(pres, rep.witness)
     assert rational_rank(exponent_matrix(pres)) < 8
 
 
 def test_streamed_two_prime_tier():
-    # 161 rows pushes past the exact-scan cutoff at m=8, and past m + 64,
-    # so the second prime ranks a compressed core
+    # 161 rows, past m + 64: the witness comes from a compressed core
     pres = make_presentation(8, 4, balanced_pool_words(161))
     rep = surjects_onto_Z_details(pres)
-    assert rep == ZR(True, False, "aggregated_rank_deficient_mod_two_primes")
-    # the inexact verdict is in fact correct here
+    assert rep == ZR(True, True, "integer_kernel_vector", E1_MINUS_E2)
+    assert kills(pres, rep.witness)
     assert rational_rank(exponent_matrix(pres)) < 8
 
 
@@ -465,7 +530,8 @@ def test_large_deficit_reports_inexact():
     # every exponent row is orthogonal to (0, ..., 0, 1, 2)
     assert len(pres) > 664
     rep = surjects_onto_Z_details(pres)
-    assert rep == ZR(True, False, "aggregated_rank_deficient_mod_two_primes")
+    assert rep == ZR(True, True, "integer_kernel_vector", (0,) * 598 + (1, 2))
+    assert kills(pres, rep.witness)
 
 
 def test_core_memory_gate_raises_typed_error(monkeypatch):
@@ -537,14 +603,34 @@ def test_core_rank_is_a_sound_lower_bound(pres, seed):
     entries = abz._exponent_entries(pres)
     peel = abz._peel(entries, pres.m)
     lossless = len(entries[3]) - 1 <= pres.m + 64
-    for p in (PRIME_A, PRIME_B):
-        rank = abz._core_rank(entries, peel, pres.m, p, seed)
+    for p in (PRIME_A, PRIME_B, 2**18 + 3):
+        rank, f, x = abz._core_rank(entries, peel, pres.m, p, seed)
         assert rank <= rank_mod_p(dense, p)
         if lossless:
             # one core row per bucket at most: nothing is compressed away
             assert rank == rank_mod_p(dense, p)
         if rank == pres.m:
             assert rational_rank(dense) == pres.m
+            assert x is None
+            continue
+        # the kernel vector is 1 at the f-th seed and 0 at later ones
+        assert x[peel.seeds[f]] == 1 and not x[peel.seeds[f + 1:]].any()
+        if lossless:
+            assert not (dense @ x % p).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_presentations(), tall_presentations((65, 110)),
+                 tall_presentations((0, 64))))
+def test_every_deficit_has_an_exact_witness(pres):
+    rep = surjects_onto_Z_details(pres)
+    dense = exponent_matrix(pres)
+    assert rep.exact
+    assert rep.surjects == (rational_rank(dense) < pres.m)
+    if rep.witness is not None:
+        assert rep.method == "integer_kernel_vector"
+        assert any(rep.witness) and math.gcd(*rep.witness) == 1
+        assert kills(pres, rep.witness)
 
 
 def test_details_deterministic():
@@ -606,25 +692,25 @@ GOLDEN_TIERS = [
      FULL),
     ("direct_exact_m8",
      lambda: make_presentation(8, 4, balanced_pool_words(40)),
-     ZR(True, True, "integer_elimination")),
+     ZR(True, True, "integer_kernel_vector", E1_MINUS_E2)),
     ("direct_deficit_m520", _direct_deficit_above_exact_cutoff,
-     ZR(True, False, "rank_deficient_mod_two_primes")),
+     ZR(True, True, "integer_kernel_vector", (0,) * 518 + (1, 1))),
     ("probe_full_positive_m8",
      lambda: sample("positive", ModelParams(m=8, ell=3, param=0.5, seed=1)),
      FULL),
     ("probe_exact_m8",
      lambda: make_presentation(8, 4, balanced_pool_words(150)),
-     ZR(True, True, "integer_elimination")),
+     ZR(True, True, "integer_kernel_vector", E1_MINUS_E2)),
     ("exact_row_edge_m3", _equal_first_exponents_m3,
-     ZR(True, True, "integer_elimination")),
+     ZR(True, True, "integer_kernel_vector", (1, -1, 0))),
     ("probe_streamed_m8",
      lambda: make_presentation(8, 4, balanced_pool_words(161)),
-     ZR(True, False, "aggregated_rank_deficient_mod_two_primes")),
+     ZR(True, True, "integer_kernel_vector", E1_MINUS_E2)),
     ("band_full_m600", lambda: _band(600, 30), FULL),
     ("probe_full_m600", lambda: sample_binomial(
         ModelParams(m=600, ell=3, param=2.9e-6, seed=2026)), FULL),
     ("probe_deficit_m600", _large_deficit,
-     ZR(True, False, "aggregated_rank_deficient_mod_two_primes")),
+     ZR(True, True, "integer_kernel_vector", (0,) * 598 + (1, 2))),
     ("sparse_ell3_m1000", lambda: _sparse_ell3(1000, 0.05, 0), FULL),
     ("ell3_m1000", lambda: _sparse_ell3(1000, 0.3, 1), FULL),
     ("dense_trial_m1000_s1", lambda: _dense_trial_shaped(1000, 1), FULL),
@@ -648,11 +734,13 @@ def test_golden_positive_sweep_tiers():
         for ti in range(30):
             pres = sample("positive", ModelParams(
                 m=8, ell=3, param=p, seed=trial_seed(4242, pi, ti)))
-            got[surjects_onto_Z_details(pres)] += 1
+            rep = surjects_onto_Z_details(pres)
+            assert rep.witness is None or kills(pres, rep.witness)
+            got[replace(rep, witness=None)] += 1
     assert got == Counter({
         FULL: 140,
         ZR(True, True, "fewer_nonzero_rows_than_generators"): 46,
         ZR(True, True, "no_relators"): 19,
-        ZR(True, True, "integer_elimination"): 3,
+        ZR(True, True, "integer_kernel_vector"): 3,
         ZR(True, True, "zero_exponent_column"): 2,
     })

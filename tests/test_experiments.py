@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randgroup.abelianization as abz
-from randgroup import experiments
+from randgroup import cli, experiments
 from randgroup.errors import (BudgetExceededError, DomainError,
                               NoCrossingError, NonMonotoneTrendError)
 from randgroup.experiments import (
@@ -27,6 +28,7 @@ from randgroup.experiments import (
     SweepConfig,
     ThresholdEstimate,
     TrialRecord,
+    decide_verdict,
     estimate_threshold,
     run_trial,
     summarize_point,
@@ -34,9 +36,10 @@ from randgroup.experiments import (
     trial_seed,
     wilson_interval,
 )
-from randgroup.hypergraph import _DENSE_CAP
-from randgroup.model import (MAX_RELATORS, ModelParams, density_to_p, sample,
-                             uniform_count_size, universe_size)
+from randgroup.hypergraph import _DENSE_CAP, build
+from randgroup.model import (MAX_RELATORS, ModelParams, density_to_p,
+                             make_presentation, sample, uniform_count_size,
+                             universe_size)
 
 from oracles import reference_fa_verdict
 
@@ -77,6 +80,22 @@ def test_trial_is_deterministic():
     b = run_trial("binomial", params)
     assert a.to_json_dict() | {"wall_time": 0} == \
         b.to_json_dict() | {"wall_time": 0}
+
+
+def test_verdict_cascade_builds_no_int_per_unused_generator():
+    # 999997 unused generators: as a tuple of Python ints the cascade
+    # peaked at 45.8 MiB here, as an int64 array at 15.3 MiB
+    pres = make_presentation(10**6, 3, [(1, 2, 3)])
+    build(pres)  # the incidence index every layer shares
+    tracemalloc.start()
+    try:
+        decision = decide_verdict(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decision.verdict == "FreeCertified"
+    assert len(decision.unused) == 10**6 - 3
+    assert peak < 24 * 2**20
 
 
 def test_trial_skip_markers():
@@ -158,12 +177,13 @@ def test_sweep_worker_count_invariance():
     assert [r.seed for r in res1.records] == [r.seed for r in res3.records]
 
 
-def test_sweep_pool_never_exceeds_task_count(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools sweep opens, on a 64-core box; each pool
+    maps in this process, so no worker is started."""
     sizes = []
 
     class InlinePool:
-        """Records its size and maps in this process."""
-
         def __init__(self, n, mp_context=None):
             sizes.append(n)
 
@@ -177,10 +197,31 @@ def test_sweep_pool_never_exceeds_task_count(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return sizes
+
+
+def test_sweep_pool_never_exceeds_task_count(pool_sizes):
     cfg = mk_config(grid=(0.01,), trials=2)
     res = sweep(cfg, workers=64)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert res.csv_text() == sweep(cfg, workers=1).csv_text()
+
+
+def test_sweep_pool_never_exceeds_core_count(pool_sizes, monkeypatch,
+                                             capsys):
+    # fork starts every worker at once: --threads 5000 forked 5000
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = mk_config(grid=(0.01, 0.02), trials=3)
+    res = sweep(cfg, workers=5000)
+    assert pool_sizes == [2]
+    assert res.csv_text() == sweep(cfg, workers=1).csv_text()
+    assert cli.main(["sweep", "--ms", "4", "-l", "3", "--model", "binomial",
+                     "--grid", "0.01,0.02", "--trials", "3",
+                     "--threads", "5000"]) == 0
+    assert pool_sizes == [2, 2]
+    err = capsys.readouterr().err
+    assert err.strip().endswith("2 grid points x 3 trials on 2 workers")
 
 
 DYING_SWEEP = """

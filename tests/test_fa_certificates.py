@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -314,7 +315,9 @@ def test_verdict_splits():
     rep = cascade_report(make_presentation(4, 3, [(1, 1, 1)]))
     assert rep.verdict == VERDICT_SPLITS
     assert rep.unused_generators == (2, 3, 4)
-    assert unused_generators(make_presentation(4, 3, [(1, 1, 1)])) == (2, 3, 4)
+    unused = unused_generators(make_presentation(4, 3, [(1, 1, 1)]))
+    assert unused.tolist() == [2, 3, 4]
+    assert unused.dtype == np.int64 and not unused.flags.writeable
 
 
 def test_verdict_fa_on_full_cube():

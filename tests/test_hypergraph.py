@@ -383,8 +383,8 @@ def test_incidence_index_against_direct_counts(pres):
         assert sorted(word, key=letter_key) == (gens * signs).tolist()
     occurrences = Counter(abs(x) for r in pres.relators for x in r)
     assert h.counts.tolist() == [0] + [occurrences[g] for g in range(1, m + 1)]
-    assert unused_generators(pres) == tuple(
-        sorted(set(range(1, m + 1)) - set(occurrences)))
+    assert unused_generators(pres).tolist() == sorted(
+        set(range(1, m + 1)) - set(occurrences))
 
     rows, cols, vals, row_ptr = _exponent_entries(pres)
     assert all(a.dtype == np.int64 for a in (rows, cols, vals, row_ptr))
