@@ -45,7 +45,11 @@ def _load(path: str):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    # written in 1 MiB slices, so no second full copy is ever encoded
+    text = json.dumps(obj, sort_keys=True)
+    sys.stdout.writelines(text[i:i + 2**20]
+                          for i in range(0, len(text), 2**20))
+    sys.stdout.write("\n")
 
 
 # ------------------------------------------------------------ handlers

@@ -35,10 +35,10 @@ from .abelianization import surjects_onto_Z_details
 from .errors import (BudgetExceededError, DomainError, NoCrossingError,
                      NonMonotoneTrendError)
 from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
-                              SL_SCAN_LIMIT, VERDICT_FA, VERDICT_FREE,
-                              VERDICT_SPLITS, VERDICT_UNKNOWN, FAReport,
-                              LWitness, SLWitness, _as_eps, check_L_exact,
-                              check_SL_exact, unused_generators)
+                              VERDICT_FA, VERDICT_FREE, VERDICT_SPLITS,
+                              VERDICT_UNKNOWN, FAReport, LWitness, SLWitness,
+                              _as_eps, check_L_exact, check_SL_exact,
+                              unused_generators)
 from .freeness import EliminationCertificate, StuckReport, certify_free
 from .hypergraph import _DENSE_CAP, diagnostics
 from .model import (MAX_RELATORS, MODEL_TAGS, ModelParams, Presentation,
@@ -70,8 +70,6 @@ class Budgets:
             value = getattr(self, f.name)
             _check(is_integer(value) and value >= 0, f"budget {f.name} must "
                    f"be a non-negative integer, got {value!r}")
-        _check(self.sl_max_m <= SL_SCAN_LIMIT, f"budget sl_max_m="
-               f"{self.sl_max_m} exceeds the split scan limit {SL_SCAN_LIMIT}")
 
 
 def _holds(result) -> Optional[bool]:
@@ -138,8 +136,7 @@ def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
     elif not (free or len(unused)) and pres.all_positive:
         l_res = search("check_L_exact", budgets.l_max_m, check_L_exact,
                        budget=budgets.l_nodes)
-        sl_res = search("check_SL_exact", budgets.sl_max_m, check_SL_exact,
-                        max_m=budgets.sl_max_m)
+        sl_res = search("check_SL_exact", budgets.sl_max_m, check_SL_exact)
     verdict = (VERDICT_FREE if free else VERDICT_SPLITS if len(unused)
                else VERDICT_FA if l_res == "holds" and sl_res == "holds"
                else VERDICT_UNKNOWN)

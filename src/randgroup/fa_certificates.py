@@ -15,9 +15,10 @@ tree. ``experiments.decide_verdict`` runs them after the cheap
 structural outcomes, and ``Decision.fa_report`` maps its result to
 the ``FAReport`` that ``check-fa`` prints.
 
-The search spaces are exponential in the worst case; node budgets
-turn runaway instances into a typed error, which the verdict cascade
-reports as an unknown with a flag rather than an answer. At the last
+The search spaces are exponential in the worst case, and neither
+search has a size limit of its own: node budgets turn runaway
+instances into a typed error, which the verdict cascade reports as an
+unknown with a flag rather than an answer. At the last
 relator position the letter search counts its candidate sets in closed
 form instead of walking them, since none of them can be a witness
 there. The frame at the last-but-one position takes that count itself
@@ -33,8 +34,10 @@ import sys
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Optional, Union
 
 import numpy as np
@@ -46,11 +49,10 @@ from .model import Presentation
 
 DEFAULT_EPSILON = Fraction(1, 100)
 L_NODE_BUDGET = 500_000
+SL_NODE_BUDGET = 20_000
+# the verdict cascade's default gate on the split search, which has no
+# size limit of its own; it stays at 22 to keep sweep output unchanged
 SL_MAX_M = 22
-# largest max_m check_SL_exact accepts: the scan holds about 23 bytes per
-# subset of the generators (1.5 GB at m = 26), and its first-letter
-# masks are uint32, so they cannot hold m > 32 at all
-SL_SCAN_LIMIT = 26
 
 VERDICT_FREE = "FreeCertified"
 VERDICT_SPLITS = "SplitsWitness"
@@ -160,6 +162,18 @@ def _require_positive(pres: Presentation, condition: str) -> None:
                           "all-positive presentations")
 
 
+def _column_masks(pres: Presentation) -> list[list[int]]:
+    """Per position, per generator g at g - 1: its relators there, as bits."""
+    mat = pres.relator_matrix
+    k, ell = mat.shape
+    rid = np.arange(k)
+    bits = np.zeros((ell, pres.m, (k + 7) // 8), dtype=np.uint8)
+    for i in range(ell):
+        np.bitwise_or.at(bits[i], (mat[:, i] - 1, rid >> 3),
+                         (1 << (rid & 7)).astype(np.uint8))
+    return [[int.from_bytes(r, "little") for r in col] for col in bits]
+
+
 def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
                   budget: int = L_NODE_BUDGET) -> Union[str, LWitness]:
     """Exhaustively decide the per-position letter condition.
@@ -189,8 +203,7 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     if s > m:
         raise DomainError(f"set size {s} exceeds generator count {m}")
     _require_positive(pres, "letter")
-    letters = pres.relator_matrix
-    k = len(letters)
+    k = len(pres)
     default_set = tuple(range(1, s + 1))
     if k == 0:
         return LWitness(sets=(default_set,) * ell)
@@ -200,11 +213,9 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
             "check_L_exact", depth,
             f"search opens a frame per relator position, ell={ell} > {depth}")
 
-    # per position, per generator: bitmask of relators carrying it there
-    masks = [{} for _ in range(ell)]
-    for i in range(ell):
-        for rid, g in enumerate(letters[:, i].tolist()):
-            masks[i][g] = masks[i].get(g, 0) | (1 << rid)
+    # per position, per generator there: bitmask of relators carrying it
+    masks = [{g: bm for g, bm in enumerate(col, 1) if bm}
+             for col in _column_masks(pres)]
     last = masks[ell - 1]
 
     full = (1 << k) - 1
@@ -318,61 +329,77 @@ def verify_L_witness(pres: Presentation, wit: LWitness,
     return True
 
 
-def _tail_profiles(pres: Presentation) -> tuple[np.ndarray, np.ndarray]:
-    """Per relator: first letter and bitmask of tail letters."""
-    mat = pres.relator_matrix
-    first = mat[:, 0].astype(np.int64)
-    tails = np.zeros(len(mat), dtype=np.int64)
-    for i in range(1, pres.ell):
-        tails |= np.int64(1) << (mat[:, i].astype(np.int64) - 1)
-    return first, tails
-
-
-def check_SL_exact(pres: Presentation, eps=DEFAULT_EPSILON,
-                   max_m: int = SL_MAX_M) -> Union[str, SLWitness]:
+def check_SL_exact(pres: Presentation,
+                   eps=DEFAULT_EPSILON) -> Union[str, SLWitness]:
     """Exhaustively decide the split-matching condition.
 
     A split with small side U is matched when some relator starts in U
-    and finishes entirely outside it. All 2^m splits are screened at
-    once: a subset-sum transform collects, for every complement W, the
-    set of first letters whose relator tail fits inside W.
+    and finishes entirely outside it. Unmatched sides are closed under
+    union, so a set t has a largest unmatched subset g: drop first(r)
+    from t while tail(r) misses it. A node (t, y) holds the witnesses W,
+    y <= W <= g, |W| <= cap; a relator starting in y whose tail misses y
+    and meets g once forces that letter into y. Children split them by
+    the highest letter of g - y that W leaves out, W = g last, so the
+    first witness found has the smallest U bitmask. More than
+    SL_NODE_BUDGET nodes raise BudgetExceededError.
     """
     eps = _as_eps(eps)
-    m = pres.m
-    if max_m > SL_SCAN_LIMIT:
-        raise DomainError(
-            f"split scan size limit max_m={max_m} exceeds {SL_SCAN_LIMIT}")
     _require_positive(pres, "split")
-    if m > max_m:
-        raise BudgetExceededError(
-            "check_SL_exact", max_m,
-            f"exhaustive split scan needs m <= {max_m}, got {m}")
-    cap = _partition_cap(eps, m)
-    size = 1 << m
+    m, cap = pres.m, _partition_cap(eps, pres.m)
+    cols = _column_masks(pres)
+    # per generator, highest first: its bit, and bitmasks of the relators
+    # that start with it and of those whose tail holds it
+    gens = [(1 << g, cols[0][g], reduce(or_, (c[g] for c in cols[1:]), 0))
+            for g in reversed(range(m))]
 
-    # firsts[W] = first letters of relators whose whole tail lies in W
-    firsts = np.zeros(size, dtype=np.uint32)
-    if len(pres):
-        first, tails = _tail_profiles(pres)
-        fl = np.uint32(1) << (first - 1).astype(np.uint32)
-        np.bitwise_or.at(firsts, tails, fl)
-        for b in range(m):
-            shaped = firsts.reshape(-1, 2, 1 << b)
-            shaped[:, 1, :] |= shaped[:, 0, :]
+    def union(t: int, i: int) -> int:
+        return reduce(or_, (gen[i] for gen in gens if t & gen[0]), 0)
 
-    all_u = np.arange(size, dtype=np.uint32)
-    pop = np.zeros(size, dtype=np.uint8)
-    for b in range(m):
-        pop += ((all_u >> b) & 1).astype(np.uint8)
-    eligible = (pop >= 1) & (pop <= cap)
-    matched = (all_u & firsts[(size - 1) ^ all_u]) != 0
-    bad = eligible & ~matched
-    if not bad.any():
-        return "holds"
-    u_mask = int(np.flatnonzero(bad)[0])
-    u = tuple(g + 1 for g in range(m) if u_mask >> g & 1)
-    v = tuple(g + 1 for g in range(m) if not u_mask >> g & 1)
-    return SLWitness(U=u, V=v)
+    def largest_unmatched(t: int) -> int:
+        while True:
+            met = union(t, 2)
+            drop = sum(bit for bit, started, _ in gens
+                       if t & bit and started & ~met)
+            if not drop:
+                return t
+            t ^= drop
+
+    def force(g: int, y: int) -> int:
+        one = two = 0  # relators with at least one, two tail letters in g
+        for held in (gen[2] for gen in gens if g & gen[0]):
+            one, two = one | held, two | one & held
+        while True:
+            needed = union(y, 1) & ~union(y, 2) & one & ~two
+            add = sum(bit for bit, _, held in gens
+                      if g & ~y & bit and held & needed)
+            if not add:
+                return y
+            y |= add
+
+    nodes, stack = 0, [((1 << m) - 1, 0)]
+    while stack:
+        nodes += 1
+        if nodes > SL_NODE_BUDGET:
+            raise BudgetExceededError(
+                "check_SL_exact", SL_NODE_BUDGET,
+                f"search exceeded {SL_NODE_BUDGET} nodes at m={m}, cap={cap}")
+        t, y = stack.pop()
+        g = largest_unmatched(t)
+        if not g or y & ~g:
+            continue
+        y = force(g, y)
+        if y == g and g.bit_count() <= cap:
+            return SLWitness(U=tuple(i + 1 for i in range(m) if g >> i & 1),
+                             V=tuple(i + 1 for i in range(m) if ~g >> i & 1))
+        kids = []
+        for bit, _, _ in gens:
+            if g & ~y & bit and y.bit_count() <= cap:
+                kids.append((g ^ bit, y))
+                y |= bit
+        if y == g and g.bit_count() <= cap:
+            kids.append((g, g))
+        stack.extend(reversed(kids))
+    return "holds"
 
 
 def verify_SL_witness(pres: Presentation, wit: SLWitness,

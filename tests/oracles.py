@@ -2,7 +2,8 @@
 
 Each one is the plain, definitional version of something the package
 computes a faster way: the verdict cascade as ``check-fa`` first wrote
-it, the letter-condition search that walks every candidate set,
+it, the letter-condition search that walks every candidate set, the
+split condition screened over all 2^m splits at once,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports, components by union-find, the canonical relator
@@ -23,11 +24,11 @@ from randgroup._modrank import PRIME_A, _eliminate
 from randgroup.errors import (BudgetExceededError, EmptyWordError,
                               LengthMismatchError, NotCyclicallyReducedError)
 from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
-                                       VERDICT_FA, VERDICT_FREE,
+                                       SL_MAX_M, VERDICT_FA, VERDICT_FREE,
                                        VERDICT_SPLITS, VERDICT_UNKNOWN,
-                                       FAReport, LWitness, _as_eps,
-                                       _set_size, check_L_exact,
-                                       check_SL_exact, unused_generators)
+                                       FAReport, LWitness, SLWitness,
+                                       _as_eps, _partition_cap, _set_size,
+                                       check_L_exact, unused_generators)
 from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
 from randgroup.hypergraph import SupportHypergraph, _component_labels, build
@@ -45,7 +46,8 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
     next and witness a free splitting; both exhaustive conditions
     passing certify a fixed point for tree actions. The two searches
     are only meaningful for all-positive relators, so signed
-    presentations that fail the first two stages come back Unknown.
+    presentations that fail the first two stages come back Unknown,
+    and so does a search past its budget or an m past SL_MAX_M.
     """
     eps = _as_eps(eps)
     exploratory = eps != DEFAULT_EPSILON
@@ -64,10 +66,12 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
                         exploratory_epsilon=exploratory)
     try:
         l_res = check_L_exact(pres, eps)
-        sl_res = check_SL_exact(pres, eps)
     except BudgetExceededError:
+        l_res = None
+    if l_res is None or pres.m > SL_MAX_M:
         return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,
                         exploratory_epsilon=exploratory, budget_exceeded=True)
+    sl_res = reference_check_SL(pres, eps)
     l_ok = l_res == "holds"
     sl_ok = sl_res == "holds"
     return FAReport(
@@ -139,6 +143,51 @@ def reference_check_L(pres: Presentation, eps=DEFAULT_EPSILON,
 
     found = dfs(0, (1 << k) - 1, [])
     return ("holds" if found is None else LWitness(sets=tuple(found))), nodes
+
+
+# ------------------------------------------------------ split condition
+
+def reference_check_SL(pres: Presentation,
+                       eps=DEFAULT_EPSILON) -> Union[str, SLWitness]:
+    """The split condition screened over all 2^m splits at once.
+
+    A subset-sum transform collects, for every complement W, the set of
+    first letters whose relator tail fits inside W. The unmatched split
+    with the smallest U bitmask is the witness. It holds about 23 bytes
+    per split (1.5 GB at m = 26), and its masks hold m <= 32 only.
+    """
+    eps = _as_eps(eps)
+    m = pres.m
+    cap = _partition_cap(eps, m)
+    size = 1 << m
+
+    # firsts[W] = first letters of relators whose whole tail lies in W
+    firsts = np.zeros(size, dtype=np.uint32)
+    if len(pres):
+        mat = pres.relator_matrix
+        first = mat[:, 0].astype(np.int64)
+        tails = np.zeros(len(mat), dtype=np.int64)
+        for i in range(1, pres.ell):
+            tails |= np.int64(1) << (mat[:, i].astype(np.int64) - 1)
+        fl = np.uint32(1) << (first - 1).astype(np.uint32)
+        np.bitwise_or.at(firsts, tails, fl)
+        for b in range(m):
+            shaped = firsts.reshape(-1, 2, 1 << b)
+            shaped[:, 1, :] |= shaped[:, 0, :]
+
+    all_u = np.arange(size, dtype=np.uint32)
+    pop = np.zeros(size, dtype=np.uint8)
+    for b in range(m):
+        pop += ((all_u >> b) & 1).astype(np.uint8)
+    eligible = (pop >= 1) & (pop <= cap)
+    matched = (all_u & firsts[(size - 1) ^ all_u]) != 0
+    bad = eligible & ~matched
+    if not bad.any():
+        return "holds"
+    u_mask = int(np.flatnonzero(bad)[0])
+    u = tuple(g + 1 for g in range(m) if u_mask >> g & 1)
+    v = tuple(g + 1 for g in range(m) if not u_mask >> g & 1)
+    return SLWitness(U=u, V=v)
 
 
 # ---------------------------------------------------------- elimination

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from randgroup import experiments
-from randgroup.cli import build_parser, main
+from randgroup.cli import _emit, build_parser, main
 from randgroup.hypergraph import diagnostics
 from randgroup.model import load_presentation
 from randgroup.words import is_cyclically_reduced
@@ -459,8 +459,6 @@ def test_sweep_flags_are_named_by_config_keys():
     ([1, 2], "config budgets must be a JSON object"),
     ({"l_nodes": -1}, "budget l_nodes must be a non-negative integer"),
     ({"l_max_m": 2.5}, "budget l_max_m must be a non-negative integer"),
-    ({"sl_max_m": 27}, "budget sl_max_m=27 exceeds the split scan limit 26"),
-    ({"sl_max_m": 40}, "budget sl_max_m=40 exceeds the split scan limit 26"),
 ])
 def test_sweep_bad_budgets_exit_2(tmp_path, capsys, budgets, fragment):
     cfg = tmp_path / "cfg.json"
@@ -478,6 +476,30 @@ def test_sweep_budgets_at_limits_run(tmp_path, capsys):
         "sl_max_m": 26, "l_max_m": 0, "l_nodes": 0}}))
     code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--threads", "1")
     assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_sweep_runs_split_search_past_m26(tmp_path, capsys):
+    # the split search has no size limit of its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ms": [40], "ell": 3, "model": "positive",
+                               "grid": [0.03], "trials": 2, "budgets": {
+                                   "sl_max_m": 40, "l_max_m": 0}}))
+    jsonl = tmp_path / "r.jsonl"
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--threads",
+                       "1", "--jsonl", str(jsonl))
+    assert code == 0 and len(out.splitlines()) == 2
+    recs = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    # SL ran and answered; only the gated L search was skipped
+    assert all(isinstance(r["sl_holds"], bool) and not r["budget_errors"]
+               for r in recs)
+    assert [r["skipped"] for r in recs] == [["check_L_exact"]] * 2
+
+
+def test_emit_writes_the_json_text_in_slices(capsys):
+    # past one 1 MiB slice, with a slice boundary inside a string
+    obj = {"b": "x" * (3 * 2**20 + 5), "a": list(range(10))}
+    _emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_bad_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randgroup import fa_certificates
 from randgroup.abelianization import surjects_onto_Z
 from randgroup.errors import BudgetExceededError, DomainError
 from randgroup.experiments import Budgets, decide_verdict
 from randgroup.fa_certificates import (
     FAReport,
     LWitness,
+    SL_NODE_BUDGET,
     SLWitness,
     VERDICT_FA,
     VERDICT_FREE,
@@ -29,7 +31,8 @@ from randgroup.freeness import EliminationCertificate, certify_free
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_positive)
 
-from oracles import reference_check_L, reference_fa_verdict
+from oracles import (reference_check_L, reference_check_SL,
+                     reference_fa_verdict)
 
 EPS = Fraction(1, 100)
 
@@ -141,18 +144,59 @@ def test_SL_empty_presentation():
     assert verify_SL_witness(make_presentation(3, 3, []), got, EPS)
 
 
-def test_SL_budget():
+def test_SL_budget(monkeypatch):
+    # the full cube holds after the root and five dead children; a sixth
+    # child would force five generators into U, past cap = 4
+    pres = make_presentation(6, 3, all_positive_words(6, 3))
+    monkeypatch.setattr(fa_certificates, "SL_NODE_BUDGET", 6)
+    assert check_SL_exact(pres, Fraction(1, 3)) == "holds"
+    monkeypatch.setattr(fa_certificates, "SL_NODE_BUDGET", 5)
+    with pytest.raises(BudgetExceededError) as err:
+        check_SL_exact(pres, Fraction(1, 3))
+    assert (err.value.check, err.value.limit) == ("check_SL_exact", 5)
+    # the search has no size limit of its own
+    monkeypatch.undo()
     pres = make_presentation(23, 3, [tuple([g] * 3) for g in range(1, 24)])
-    with pytest.raises(BudgetExceededError):
-        check_SL_exact(pres, EPS)
+    assert check_SL_exact(pres, EPS) == SLWitness(U=(1,),
+                                                  V=tuple(range(2, 24)))
 
 
-def test_SL_scan_limit_rejected():
-    # a limit above 26 is refused before any scan array is sized
-    pres = make_presentation(3, 3, [(1, 2, 3)])
-    with pytest.raises(DomainError):
-        check_SL_exact(pres, EPS, max_m=27)
-    assert check_SL_exact(pres, EPS, max_m=26) == check_SL_exact(pres, EPS)
+def pair_words(m):
+    """(g, h, h) for all g != h: every split is matched."""
+    return [(g, h, h) for g in range(1, m + 1) for h in range(1, m + 1)
+            if g != h]
+
+
+def test_SL_holds_at_m40():
+    pres = make_presentation(40, 3, pair_words(40))
+    assert check_SL_exact(pres, EPS) == "holds"
+    assert check_SL_exact(pres, Fraction(1, 3)) == "holds"
+
+
+def test_SL_witness_at_m40():
+    # no relator starts with 1, so the split {1} is unmatched
+    words = [w for w in pair_words(40) if w[0] != 1]
+    pres = make_presentation(40, 3, words)
+    got = check_SL_exact(pres, EPS)
+    assert got == SLWitness(U=(1,), V=tuple(range(2, 41)))
+    assert verify_SL_witness(pres, got, EPS)
+
+
+def test_SL_default_budget_ends_at_m40():
+    # this one holds, after about 131 000 nodes
+    pres = sample("positive", ModelParams(40, 4, 0.0003, 0))
+    with pytest.raises(BudgetExceededError) as err:
+        check_SL_exact(pres, Fraction(1, 3))
+    assert (err.value.check, err.value.limit) == ("check_SL_exact",
+                                                  SL_NODE_BUDGET)
+
+
+def test_cascade_runs_SL_past_the_default_gate():
+    pres = make_presentation(40, 3, pair_words(40))
+    assert "check_SL_exact" in decide_verdict(pres, EPS).skipped
+    dec = decide_verdict(pres, EPS, Budgets(sl_max_m=40))
+    assert "check_SL_exact" not in dec.skipped + dec.budget_errors
+    assert dec.sl_result == "holds"
 
 
 def test_SL_signed_rejected():
@@ -198,6 +242,38 @@ def test_SL_matches_naive(pres, eps):
     else:
         assert isinstance(got, SLWitness)
         assert verify_SL_witness(pres, got, eps)
+
+
+def test_SL_matches_reference_scan():
+    # answer and witness: the unmatched split of smallest U bitmask
+    rng = np.random.default_rng(20)
+    epsilons = [Fraction(1, 100), Fraction(1, 3), Fraction(1, 2)]
+    n_holds = 0
+    for _ in range(1000):
+        m, ell = int(rng.integers(1, 15)), int(rng.integers(2, 5))
+        eps = epsilons[int(rng.integers(3))]
+        k = int(rng.integers(0, 3 * m * m + 1))
+        pres = make_presentation(m, ell, rng.integers(1, m + 1, (k, ell)))
+        want = reference_check_SL(pres, eps)
+        assert check_SL_exact(pres, eps) == want
+        n_holds += want == "holds"
+    assert 300 <= n_holds <= 700
+
+
+def test_SL_crowded_splits_match_reference_scan():
+    # relators (a, T) for every 6-set T and a outside it: a side is
+    # unmatched exactly when it has more than cap = 6 of the 12 generators,
+    # so the search walks hundreds of unmatched sets before it answers
+    words = [(a,) + T for T in combinations(range(1, 13), 6)
+             for a in range(1, 13) if a not in T]
+    eps = Fraction(1, 2)
+    pres = make_presentation(12, 7, words)
+    want = reference_check_SL(pres, eps)
+    assert check_SL_exact(pres, eps) == want == "holds"
+    pres = make_presentation(12, 7, [w for w in words if w[0] != 12])
+    got = check_SL_exact(pres, eps)
+    assert got == reference_check_SL(pres, eps) == SLWitness(
+        U=(12,), V=tuple(range(1, 12)))
 
 
 @st.composite
