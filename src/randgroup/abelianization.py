@@ -1,10 +1,23 @@
 """Abelianized relation data: exponent sums, Smith form, ℤ-surjection.
 
-Killing commutators turns a presentation into an integer matrix whose
+Killing commutators turns a presentation into an integer matrix E whose
 row i records the net exponent of each generator in relator i. The
-cokernel invariants (betti number, torsion chain) come from the Smith
+cokernel invariants (betti number, torsion chain) come from a Smith
 normal form; whether the group surjects onto the integers is exactly
-the question whether that matrix has rational rank below m.
+the question whether E has rational rank below m.
+
+Both read one peel of E (structured Gaussian elimination, after
+LaMacchia & Odlyzko and Pomerance & Smith). Zero columns are seeds from
+the start; then, in batched rounds, each row whose one nonzero outside
+the resolved columns is ±1 is pivoted there, and when none is left the
+unresolved column with the most nonzeros joins the seed set S. A pivot
+row writes its generator over columns resolved earlier, a Tietze move.
+So with X the m x |S| solve (the identity on S, P X = 0 on the pivot
+rows P by forward substitution, where ±1 is its own inverse), the
+abelianization is ℤ^S modulo the rows of N X, N the other rows, and
+rank E is the pivot count |C| plus rank N X. abelian_invariants folds
+N X in Python integers into an IntegerRowBasis |S| columns wide, and
+gates only the m |S| entries of X.
 
 The rank decision is tiered because sweeps push it to millions of
 relators against thousands of generators:
@@ -12,27 +25,17 @@ relators against thousands of generators:
   1. structural certificates: no relators, fewer nonzero rows than
      generators, a generator with zero exponent everywhere, or all row
      sums zero (send every generator to 1). All exact.
-  2. rank mod PRIME_A of a peeled, compressed core (structured
-     Gaussian elimination, after LaMacchia & Odlyzko and Pomerance &
-     Smith). Rows with exactly one nonzero outside the resolved
-     columns are pivoted there, in batched rounds; when none is left,
-     the unresolved column with the most nonzeros joins a seed set S.
-     Each pivot is a nonzero exponent of absolute value below 2^18
-     (the peel never pivots on a larger one), hence a unit mod every
-     prime used, all of which lie between 2^18 and 2^19, so the pivot
-     block is triangular with unit diagonal and the rank is |C| + rank
-     of the core: the other rows with the pivot columns C solved away,
-     |S| columns wide. The core rows are randomly partitioned into
-     |S| + 64 balanced buckets and each bucket summed with random
-     nonzero coefficients. Compression only ever loses rank, so a
-     full-rank compressed core proves full rational rank, settling the
-     question exactly. A plain row sample would not work here: with
-     short relators it misses columns outright. The core is lossless
-     when there are kn <= m + 64 nonzero rows: it then has at most
-     kn - |C| <= |S| + 64 rows, one per bucket, so its rank mod p is
-     that of the whole matrix. Its dense part, (|S| + 64) x m buckets
-     and the m x |S| solve, is gated by the same cap as the other
-     dense work, as a typed BudgetExceededError.
+  2. rank mod PRIME_A of |C| plus a compressed N X, with X solved mod
+     p. The core rows N are randomly partitioned into |S| + 64 balanced
+     buckets and each bucket summed with random nonzero coefficients.
+     Compression only ever loses rank, so a full-rank compressed core
+     proves full rational rank, settling the question exactly. A plain
+     row sample would not work here: with short relators it misses
+     columns outright. The core is lossless when there are kn <= m + 64
+     nonzero rows: it then has at most kn - |C| <= |S| + 64 rows, one
+     per bucket, so its rank mod p is that of the whole matrix. Its
+     dense part, (|S| + 64) x m buckets and the m x |S| solve, is gated
+     by the same cap as the other dense work.
   3. on a deficit, a witness w in ℤ^m, primitive and nonzero, with
      E w = 0 checked exactly on the sparse rows. The core's kernel
      vector mod p, 1 at its first free column f and 0 past it, maps
@@ -46,9 +49,8 @@ relators against thousands of generators:
      modulus of 2 H^2 the lift is unique, so a failed check there moves
      f on by one. Only running out of primes raises BudgetExceededError.
 
-All exact integer work on whole matrices runs through one kernel,
-IntegerRowBasis, which folds rows into a lattice basis by Bezout steps
-in Python integers, and keeps each stored row reduced at the later pivot
+IntegerRowBasis folds rows into a lattice basis by Bezout steps in
+Python integers, and keeps each stored row reduced at the later pivot
 columns. The Smith form reuses it, folding rows and columns in turn. On
 a 2-core box a dense n x n matrix with entries in [-3, 3] takes about
 0.001 s at n = 12, 0.01 s at 40, 0.035 s at 60 and 0.14 s at 80.
@@ -242,31 +244,20 @@ def smith_normal_form(M) -> tuple[int, ...]:
 
 # ----------------------------------------------------- rank / surjection
 
-def _chunks_of_rows(entries, m: int) -> Iterator[np.ndarray]:
-    """The nonzero exponent rows, in row order, as dense blocks."""
-    _, cols, vals, row_ptr = entries
-    kn = len(row_ptr) - 1
-    for lo in range(0, kn, _CHUNK):
-        hi = min(lo + _CHUNK, kn)
-        a, b = row_ptr[lo], row_ptr[hi]
-        out = np.zeros((hi - lo, m), dtype=np.int64)
-        local = np.repeat(np.arange(hi - lo), np.diff(row_ptr[lo:hi + 1]))
-        out[local, cols[a:b]] = vals[a:b]
-        yield out
-
-
 class _Peel(NamedTuple):
     """Where the peel left the exponent matrix.
 
     rounds holds, per round, the pivot rows (local indices), their
-    pivot columns and pivot exponents; seeds lists the columns that
-    were resolved without a pivot, in the order they were added.
-    local maps each entry to its row's local index, the row's place
-    in the entries' row pointer.
+    pivot columns and pivot exponents (±1); seeds lists the columns
+    resolved without a pivot as they were added, the n_zero zero columns
+    first. local maps each entry to its row's local index, its place in
+    the entries' row pointer; core marks the rows that are not pivots.
     """
     rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     seeds: np.ndarray
+    n_zero: int
     local: np.ndarray
+    core: np.ndarray
 
 
 def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -276,15 +267,15 @@ def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _peel(entries, m: int) -> _Peel:
-    """Pivot pattern of the nonzero exponent rows, without field arithmetic.
+    """Pivot pattern of the nonzero exponent rows, without arithmetic.
 
-    A column is resolved once it is a pivot or a seed. Each round takes
-    every row with exactly one unresolved nonzero column, keeps the
-    smallest such row per column, and pivots it there. When no row
-    qualifies, the unresolved column with the most nonzeros becomes a
-    seed. Per row, the count of unresolved nonzeros and the sums of
-    their columns and exponents are kept up to date, so a row down to
-    one unresolved nonzero names its column and exponent directly.
+    A column is resolved once it is a pivot or a seed, as a zero column
+    is from the start. Each round takes every row whose one unresolved
+    nonzero is ±1, keeps the smallest such row per column, and pivots it
+    there. When no row qualifies, the unresolved column with the most
+    nonzeros becomes a seed. Per row, the count of unresolved nonzeros
+    and the sums of their columns and exponents are kept up to date, so
+    a row down to one unresolved nonzero names its column and exponent.
     """
     _, cols, vals, row_ptr = entries
     left = np.diff(row_ptr)
@@ -295,20 +286,20 @@ def _peel(entries, m: int) -> _Peel:
     by_col = np.argsort(cols)
     col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
     heaviest = np.argsort(-np.diff(col_ptr), kind="stable")
-    resolved = np.zeros(m, dtype=bool)
+    resolved = col_ptr[1:] == col_ptr[:-1]
+    core = np.ones(len(left), dtype=bool)
     rounds = []
-    seeds: list[int] = []
+    seeds = np.flatnonzero(resolved).tolist()
+    n_zero = n_resolved = len(seeds)
     next_seed = 0
-    n_resolved = 0
     touched = np.flatnonzero(left == 1)
     while n_resolved < m:
-        cand = np.sort(touched[left[touched] == 1])
-        # a pivot must be a unit mod every rank prime; |exponent| <= ell
-        # makes that automatic unless ell reaches _PRIME_FLOOR
-        cand = cand[np.abs(val_sum[cand]) < _PRIME_FLOOR]
+        one = (left[touched] == 1) & (np.abs(val_sum[touched]) == 1)
+        cand = np.sort(touched[one])
         if len(cand):
             new, first = np.unique(col_sum[cand], return_index=True)
             rounds.append((cand[first], new, val_sum[cand[first]]))
+            core[cand[first]] = False
         else:
             while resolved[heaviest[next_seed]]:
                 next_seed += 1
@@ -322,7 +313,30 @@ def _peel(entries, m: int) -> _Peel:
         np.subtract.at(col_sum, hit, cols[idx])
         np.subtract.at(val_sum, hit, vals[idx])
         touched = hit
-    return _Peel(rounds, np.array(seeds, dtype=np.int64), local)
+    return _Peel(rounds, np.array(seeds, dtype=np.int64), n_zero, local, core)
+
+
+def _times(entries, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """E[rows] @ X from the sparse rows, for a nonempty list of rows."""
+    _, cols, vals, row_ptr = entries
+    n = row_ptr[rows + 1] - row_ptr[rows]
+    idx = _ranges(row_ptr[rows], n)
+    return np.add.reduceat(vals[idx, None] * X[cols[idx]], np.cumsum(n) - n)
+
+
+def _solve(entries, peel: _Peel, m: int, p: Optional[int] = None
+           ) -> np.ndarray:
+    """X, the identity on the seeds S with P X = 0 on the pivot rows P,
+    by forward substitution in peel order: mod p in int64, or exactly in
+    Python integers if p is None. A pivot's own entry adds nothing, as
+    its row of X is still zero, and its exponent ±1 is its own inverse."""
+    s = len(peel.seeds)
+    X = np.zeros((m, s), dtype=object if p is None else np.int64)
+    X[peel.seeds, np.arange(s)] = 1
+    for prow, pcol, pval in peel.rounds:
+        new = -pval[:, None] * _times(entries, prow, X)
+        X[pcol] = new if p is None else new % p
+    return X
 
 
 def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
@@ -331,13 +345,10 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
     on a deficit also the core's first free column f and x = X y mod p
     for the kernel vector y of _kernel_vector (else |S| and None).
 
-    With pivot columns C and seed columns S, let X be the m x |S|
-    matrix that is the identity on S and solves P X = 0 on the pivot
-    rows P, found by forward substitution in peel order (each pivot is
-    a unit mod p). The column change [[I, X_C], [0, I]] is unimodular
-    mod p and turns the pivot block into P_C, which is triangular in
-    peel order with units on its diagonal, so the rank is
-    |C| + rank(N X) over the other rows N. Those rows are summed into
+    With X from _solve mod p, the column change [[I, X_C], [0, I]] is
+    unimodular and turns the pivot block into P_C, which is triangular
+    in peel order with ±1 on its diagonal, so the rank is
+    |C| + rank(N X) over the core rows N. Those rows are summed into
     |S| + 64 random buckets with random nonzero coefficients, which can
     only lose rank; a full-rank compressed core therefore proves full
     rank mod p, hence over ℚ. With at most |S| + 64 rows in N, each
@@ -354,30 +365,16 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
             "surjects_onto_Z", _DENSE_CAP,
             f"peeled core of {s} seed columns at m={m} needs "
             f"{n_buckets * m + m * s} dense entries")
-    X = np.zeros((m, s), dtype=np.int64)
-    X[peel.seeds, np.arange(s)] = 1
-    for prow, pcol, pval in peel.rounds:
-        lo = row_ptr[prow]
-        n = row_ptr[prow + 1] - lo
-        idx = _ranges(lo, n)
-        # X[pcol] is still zero, so each pivot's own entry adds nothing
-        acc = np.add.reduceat(vals[idx, None] * X[cols[idx]], np.cumsum(n) - n)
-        units, back = np.unique(pval % p, return_inverse=True)
-        inv = np.array([pow(int(u), -1, p) for u in units], dtype=np.int64)
-        X[pcol] = (-(acc % p) * inv[back, None]) % p
-
+    X = _solve(entries, peel, m, p)
     kn = len(row_ptr) - 1
-    core_row = np.ones(kn, dtype=bool)
-    for prow, _, _ in peel.rounds:
-        core_row[prow] = False
-    n_core = int(core_row.sum())
+    n_core = int(peel.core.sum())
     rng = np.random.default_rng(seed)
     bucket_of = np.zeros(kn, dtype=np.int64)
-    bucket_of[np.flatnonzero(core_row)[rng.permutation(n_core)]] = \
+    bucket_of[np.flatnonzero(peel.core)[rng.permutation(n_core)]] = \
         np.arange(n_core, dtype=np.int64) % n_buckets
     coeff = np.zeros(kn, dtype=np.int64)
-    coeff[core_row] = rng.integers(1, p, size=n_core, dtype=np.int64)
-    keep = core_row[peel.local]
+    coeff[peel.core] = rng.integers(1, p, size=n_core, dtype=np.int64)
+    keep = peel.core[peel.local]
     at = peel.local[keep]
     # each term is reduced below p, so a bucket cell stays far below
     # 2^53 even with MAX_RELATORS rows in one bucket
@@ -488,21 +485,24 @@ def surjects_onto_Z(pres: Presentation) -> bool:
 
 
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
-    """Betti number and torsion chain of the abelianization, exactly.
-
-    The row lattice is first compressed to at most m generating rows by
-    exact integer elimination, then handed to the Smith form. Cost
-    grows with the relator count; sweep budgets gate calls at scale.
-    """
+    """Betti number and torsion chain of the abelianization, exactly:
+    the Smith form of N X, solved over the seeds that are not zero
+    columns, with the rows of N X folded in blocks."""
     m = pres.m
     if len(pres) == 0:
         return AbelianInvariants(betti=m, torsion=())
-    if m * min(m, len(pres)) > _DENSE_CAP:
+    entries = _exponent_entries(pres)
+    peel = _peel(entries, m)
+    used = peel.seeds[peel.n_zero:]
+    if m * len(used) > _DENSE_CAP:
         raise BudgetExceededError("abelian_invariants", _DENSE_CAP,
-                                  f"{m} x {min(m, len(pres))} dense entries")
-    chunks = _chunks_of_rows(_exponent_entries(pres), m)
-    basis = _fold((row for chunk in chunks for row in chunk), m)
+                                  f"{m} x {len(used)} solve entries")
+    X = _solve(entries, peel._replace(seeds=used), m)
+    core = np.flatnonzero(peel.core)
+    basis = IntegerRowBasis(len(used))
+    for lo in range(0, len(core), _CHUNK):
+        for row in _times(entries, core[lo:lo + _CHUNK], X):
+            basis.add(row)
     diags = smith_normal_form(basis.matrix())
-    betti = m - len(diags)
-    torsion = tuple(int(d) for d in diags if d > 1)
-    return AbelianInvariants(betti=betti, torsion=torsion)
+    return AbelianInvariants(betti=len(peel.seeds) - len(diags),
+                             torsion=tuple(int(d) for d in diags if d > 1))

@@ -270,9 +270,8 @@ def test_row_basis_ignores_dependent_rows():
 
 
 def folded(pres):
-    """The row basis abelian_invariants hands to the Smith form."""
-    chunks = abz._chunks_of_rows(abz._exponent_entries(pres), pres.m)
-    return abz._fold((row for chunk in chunks for row in chunk), pres.m)
+    """The row basis of the whole exponent matrix."""
+    return abz._fold(exponent_matrix(pres), pres.m)
 
 
 def largest_entry(basis):
@@ -306,6 +305,7 @@ def test_fold_of_a_sampled_file_keeps_small_entries():
     assert largest_entry(basis) < 2**32
     diags = smith_normal_form(basis.matrix())
     assert len(diags) == 100 and [d for d in diags if d > 1] == [2]
+    assert abelian_invariants(pres) == AbelianInvariants(betti=0, torsion=(2,))
 
 
 def test_rank_deficient_file_is_decided_exactly():
@@ -317,6 +317,7 @@ def test_rank_deficient_file_is_decided_exactly():
     assert largest_entry(basis) < 2**32
     assert surjects_onto_Z_details(pres) == \
         ZR(True, True, "integer_kernel_vector", (0,) * 118 + (1, 1))
+    assert abelian_invariants(pres).betti == 1
 
 
 def test_large_rank_deficient_file_is_fast():
@@ -366,15 +367,16 @@ def test_running_out_of_primes_raises(monkeypatch):
     assert err.value.limit == 2
 
 
-def test_peel_pivots_only_units_mod_every_prime():
-    # the smallest rank prime is 262147 = 2^18 + 3: an exponent of 2^18
-    # or more is never a pivot, one just below is
-    assert min(abz._primes()) == 2**18 + 3
-    for val, pivots in ((2**18 + 3, 0), (2**18, 0), (2**18 - 1, 1)):
-        entries = tuple(np.array(a) for a in ([0], [0], [val], [0, 1]))
-        peel = abz._peel(entries, 1)
-        assert len(peel.rounds) == pivots
-        assert len(peel.seeds) == 1 - pivots
+@pytest.mark.parametrize("val, pivots", [
+    (1, 1), (-1, 1), (2, 0), (-2, 0), (2**18 - 1, 0)])
+def test_peel_pivots_only_on_plus_or_minus_one(val, pivots):
+    # only a pivot of ±1 writes its generator over the integers; any
+    # other exponent leaves its column to become a seed
+    entries = tuple(np.array(a) for a in ([0], [0], [val], [0, 1]))
+    peel = abz._peel(entries, 1)
+    assert len(peel.rounds) == pivots
+    assert peel.seeds.tolist() == [0] * (1 - pivots)
+    assert peel.core.tolist() == [not pivots]
 
 
 # --------------------------------------------------- abelian invariants
@@ -386,6 +388,44 @@ def test_invariants_examples():
         AbelianInvariants(betti=2, torsion=())
     pres = make_presentation(3, 3, [(1, 2, 3)])
     assert abelian_invariants(pres) == AbelianInvariants(betti=2, torsion=())
+    # generators 1, 3 and 6 never occur; a commutator has zero exponent
+    # everywhere, so its generators are free too
+    pres = make_presentation(6, 3, [(2, 2, 5), (2, 5, 5)])
+    assert abelian_invariants(pres) == AbelianInvariants(betti=4, torsion=(3,))
+    pres = make_presentation(3, 4, [(1, 2, -1, -2)])
+    assert abelian_invariants(pres) == AbelianInvariants(betti=3, torsion=())
+
+
+def test_invariants_of_the_chain_lift_exact_big_entries():
+    # the solve writes each generator over two seeds, with entries up
+    # to 2^298, far past int64
+    assert abelian_invariants(chain(300)) == \
+        AbelianInvariants(betti=1, torsion=())
+
+
+def test_invariants_of_a_sampled_m300_file_are_fast():
+    # randgroup sample -m 300 -l 4 --p 5/300^3 --seed 1: folding the
+    # whole matrix took about 20 s
+    pres = sample_binomial(ModelParams(m=300, ell=4, param=5 / 300**3, seed=1))
+    t0 = time.perf_counter()
+    inv = abelian_invariants(pres)
+    assert time.perf_counter() - t0 < 5
+    assert inv == AbelianInvariants(betti=0, torsion=(2,))
+
+
+def test_invariants_gate_the_solve_before_allocating(monkeypatch):
+    # no zero columns: the solve is m x |S| for all the seeds
+    pres = _band(50, 10)
+    need = 50 * len(abz._peel(abz._exponent_entries(pres), 50).seeds)
+    assert need > 0 and smith_normal_form(exponent_matrix(pres))[-1] == 3
+    monkeypatch.setattr(abz, "_DENSE_CAP", need)
+    assert abelian_invariants(pres) == AbelianInvariants(betti=0, torsion=(3,))
+    monkeypatch.setattr(abz, "_DENSE_CAP", need - 1)
+    monkeypatch.setattr(abz, "_solve", None)  # never reached
+    with pytest.raises(BudgetExceededError) as err:
+        abelian_invariants(pres)
+    assert err.value.check == "abelian_invariants"
+    assert err.value.limit == need - 1
 
 
 def test_invariants_json():
@@ -617,6 +657,16 @@ def test_core_rank_is_a_sound_lower_bound(pres, seed):
         assert x[peel.seeds[f]] == 1 and not x[peel.seeds[f + 1:]].any()
         if lossless:
             assert not (dense @ x % p).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(tall_presentations((65, 110)), tall_presentations((0, 64))))
+def test_invariants_of_tall_presentations_against_direct_smith_form(pres):
+    # exponents of ±2 and ±3 that the peel does not pivot on, zero
+    # columns and rank deficits
+    diags = smith_normal_form(exponent_matrix(pres))
+    assert abelian_invariants(pres) == AbelianInvariants(
+        betti=pres.m - len(diags), torsion=tuple(d for d in diags if d > 1))
 
 
 @settings(max_examples=150, deadline=None)

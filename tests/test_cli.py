@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from randgroup import experiments
+from randgroup import abelianization, experiments
 from randgroup.cli import _emit, build_parser, main
 from randgroup.hypergraph import diagnostics
 from randgroup.model import load_presentation
@@ -275,7 +275,7 @@ def test_cap_error_gives_structured_json(tmp_path, capsys):
     code, out, _ = run(capsys, "abelianize", path)
     assert code == 1
     assert json.loads(out)["error"] == "BudgetExceededError"
-    assert json.loads(out)["check"] == "abelian_invariants"
+    assert json.loads(out)["check"] == "incidence_index"
     assert json.loads(out)["limit"] == 2 * 10**8
 
 
@@ -292,7 +292,7 @@ def test_huge_generator_count_hits_cap_before_allocating(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv, check, limit", [
     (["abelianize", "300000001 3 manual 0.0 0\n1 2 3\n"],
-     "abelian_invariants", 2 * 10**8),
+     "incidence_index", 2 * 10**8),
     (["analyze", "1000000000000 3 binomial 0.5 7\n1 2 1\n"],
      "incidence_index", 2 * 10**8),
     (["certify-free", "1000000000000 3 binomial 0.5 7\n1 2 1\n"],
@@ -315,6 +315,21 @@ def test_every_limit_prints_one_json_line(tmp_path, capsys, argv, check,
         f"budget exceeded in {check} (limit {limit})")
     assert report == {"error": "BudgetExceededError", "check": check,
                       "limit": limit}
+
+
+def test_abelianize_past_the_solve_cap_prints_one_json_line(tmp_path, capsys,
+                                                            monkeypatch):
+    # one seed column at m=2: the 2-entry solve is past a cap of 1
+    monkeypatch.setattr(abelianization, "_DENSE_CAP", 1)
+    path = write_pres(tmp_path, "2 3 manual 0.0 0\n1 1 2\n1 2 2\n")
+    code, out, err = run(capsys, "abelianize", path)
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report.pop("message").startswith(
+        "budget exceeded in abelian_invariants (limit 1)")
+    assert report == {"error": "BudgetExceededError",
+                      "check": "abelian_invariants", "limit": 1}
 
 
 @pytest.mark.parametrize("argv", [
