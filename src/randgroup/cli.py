@@ -14,7 +14,11 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+
+import numpy as np
 
 from .abelianization import abelian_invariants
 from .errors import BudgetExceededError, DomainError
@@ -24,7 +28,8 @@ from .fa_certificates import DEFAULT_EPSILON, SL_MAX_M, _as_eps
 from .freeness import EliminationCertificate, certify_free
 from .hypergraph import diagnostics
 from .model import (MODEL_TAGS, ModelParams, euler_characteristic,
-                    load_presentation, sample, save_presentation)
+                    load_presentation, rows_text, sample,
+                    save_presentation)
 from .words import iter_cyclically_reduced, word_to_text
 
 
@@ -44,11 +49,69 @@ def _load(path: str):
         return load_presentation(fh)
 
 
-def _emit(obj) -> None:
-    # written in 1 MiB slices, so no second full copy is ever encoded
-    text = json.dumps(obj, sort_keys=True)
-    sys.stdout.writelines(text[i:i + 2**20]
-                          for i in range(0, len(text), 2**20))
+def _json_rows(matrix: np.ndarray, first: str, seps: tuple[str, ...],
+               last: str) -> Iterator[str]:
+    """JSON text of a list with one item per row of an int matrix, in blocks.
+
+    ``first`` opens the list and its first item, ``seps[j]`` follows
+    column j (the last one ends an item and opens the next), and
+    ``last`` ends the final item and the list.
+    """
+    if not matrix.size:
+        yield json.dumps(matrix.tolist())
+        return
+    yield first
+    blocks = rows_text(matrix, seps)
+    held = next(blocks)
+    for block in blocks:
+        yield held
+        held = block
+    yield held[:-len(seps[-1])] + last
+
+
+def _json_array(array: np.ndarray) -> Iterator[str]:
+    """``json.dumps(array.tolist())`` of a 1-D or 2-D int array, in blocks."""
+    if array.ndim == 1:
+        return _json_rows(array[:, None], "[", (", ",), "]")
+    return _json_rows(array, "[[", (", ",) * (array.shape[1] - 1) + ("], [",),
+                      "]]")
+
+
+def _certificate_fields(cert: EliminationCertificate) -> dict:
+    """``cert.to_json_dict()``, but with the steps as JSON text in blocks,
+    from the rows [generator | relator] of ``cert.step_matrix()``."""
+    steps = cert.step_matrix()
+    return {"final_rank": cert.final_rank,
+            "steps": _json_rows(steps, '[{"generator": ',
+                                (', "relator": [',)
+                                + (", ",) * (steps.shape[1] - 2)
+                                + (']}, {"generator": ',), "]}]")}
+
+
+def _write_json(out, value) -> None:
+    if isinstance(value, dict):
+        out.write("{")
+        for i, key in enumerate(sorted(value)):
+            out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(out, value[key])
+        out.write("}")
+    elif isinstance(value, np.ndarray):
+        out.writelines(_json_array(value))
+    elif isinstance(value, Iterator):
+        out.writelines(value)
+    else:
+        out.write(json.dumps(value, sort_keys=True))
+
+
+def _emit(obj: dict) -> None:
+    """Write ``json.dumps(obj, sort_keys=True)`` and a newline to stdout.
+
+    Dicts are written key by key. An int ndarray value is written as the
+    JSON list of its rows, and an iterator value as the JSON text it
+    yields; both stream block by block through ``model.rows_text``, so a
+    large report is held neither as Python lists nor as one string.
+    """
+    _write_json(sys.stdout, obj)
     sys.stdout.write("\n")
 
 
@@ -84,13 +147,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify_free(args) -> int:
-    # the presentation, and the index it caches, go before the emit
     cert = certify_free(_load(args.file))
-    _emit(cert.to_json_dict())
     if isinstance(cert, EliminationCertificate):
-        print(f"free of rank {cert.final_rank}", file=sys.stderr)
+        fields = _certificate_fields(cert)
+        summary = f"free of rank {cert.final_rank}"
     else:
-        print("elimination stuck; freeness undecided", file=sys.stderr)
+        fields = cert.json_fields()
+        summary = "elimination stuck; freeness undecided"
+    # the presentation, and the index it caches, go before the emit
+    del cert
+    _emit(fields)
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -100,7 +167,11 @@ def _cmd_check_fa(args) -> int:
     # the report blanks L whenever SL is skipped, so L is gated with SL
     report = decide_verdict(pres, eps,
                             Budgets(l_max_m=SL_MAX_M)).fa_report(eps)
-    _emit(report.to_json_dict())
+    fields = replace(report, free_certificate=None).to_json_dict()
+    if report.free_certificate is not None:
+        fields["free_certificate"] = _certificate_fields(
+            report.free_certificate)
+    _emit(fields)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return 0
 

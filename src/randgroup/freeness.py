@@ -22,8 +22,9 @@ convention: always eliminate the smallest admissible generator index
 (the admissible relator is then forced, since the generator's single
 occurrence pins it), which makes them a pure function of the
 presentation. That ordered loop runs on the first read of
-``EliminationCertificate.steps`` or ``StuckReport.remaining_generators``,
-so a caller that needs only the verdict never runs it.
+``EliminationCertificate.steps`` (or ``step_matrix``) or of the
+generators left in a ``StuckReport``, so a caller that needs only the
+verdict never runs it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,21 @@ class EliminationCertificate:
         del self.__dict__["_pres"]
         return steps
 
+    def step_matrix(self) -> np.ndarray:
+        """The steps as int64 rows [generator | relator].
+
+        Before ``steps`` is first read, this runs the ordered loop
+        without building the step tuples, and keeps none of it.
+        """
+        pres = self.__dict__.get("_pres")
+        if pres is not None:
+            gens, rids = _elimination_order(pres)
+            return np.column_stack((np.array(gens, dtype=np.int64),
+                                    pres.relator_matrix[rids]))
+        if not self.steps:
+            return np.empty((0, 1), dtype=np.int64)
+        return np.array([(g, *r) for g, r in self.steps], dtype=np.int64)
+
     def to_json_dict(self) -> dict:
         return {
             "steps": [{"generator": g, "relator": list(r)}
@@ -90,8 +106,9 @@ class StuckReport:
 
     rank_negative flags the regime where more relators remain than
     generators, so no elimination order could ever have finished.
-    From ``certify_free``, ``remaining_generators`` is built the first
-    time it is read.
+    From ``certify_free``, the remaining generators are found the first
+    time they are read, and held as an int64 array: the
+    ``remaining_generators`` tuple is built from it on each read.
     """
 
     __slots__ = ("remaining_matrix", "reason", "_generators",
@@ -103,7 +120,8 @@ class StuckReport:
             raise ValueError("a stuck report needs at least one relator")
         self.remaining_matrix = remaining_matrix
         self.reason = reason
-        self._generators: Optional[tuple[int, ...]] = remaining_generators
+        self._generators: Optional[np.ndarray] = np.array(
+            remaining_generators, dtype=np.int64)
         self._n_generators = len(remaining_generators)
         self._pres: Optional[Presentation] = None
         self._remaining: Optional[tuple[Word, ...]] = None
@@ -120,16 +138,19 @@ class StuckReport:
     def rank_negative(self) -> bool:
         return self.n_remaining > self._n_generators
 
-    @property
-    def remaining_generators(self) -> tuple[int, ...]:
+    def _generator_array(self) -> np.ndarray:
         if self._generators is None:
             gens, _ = _elimination_order(self._pres)
             active = np.ones(self._pres.m + 1, dtype=bool)
             active[0] = False
             active[gens] = False
-            self._generators = tuple(np.flatnonzero(active).tolist())
+            self._generators = np.flatnonzero(active)
             self._pres = None
         return self._generators
+
+    @property
+    def remaining_generators(self) -> tuple[int, ...]:
+        return tuple(self._generator_array().tolist())
 
     @property
     def remaining_relators(self) -> tuple[Word, ...]:
@@ -147,14 +168,20 @@ class StuckReport:
                 f"n_generators={self._n_generators}, "
                 f"rank_negative={self.rank_negative})")
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The JSON fields, with the generators and relators left as
+        int arrays, so a writer can stream them."""
         return {
             "stuck": True,
             "reason": self.reason,
-            "remaining_generators": list(self.remaining_generators),
-            "remaining_relators": self.remaining_matrix.tolist(),
+            "remaining_generators": self._generator_array(),
+            "remaining_relators": self.remaining_matrix,
             "rank_negative": self.rank_negative,
         }
+
+    def to_json_dict(self) -> dict:
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self.json_fields().items()}
 
 
 def _rid_sums(index: SupportHypergraph, k0: int) -> np.ndarray:

@@ -41,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -511,17 +511,67 @@ def sample(model_tag: str, params: ModelParams) -> Presentation:
 # token is anything int() reads, and the first bad line is reported
 
 
-# rows formatted per write call when saving
+# rows written per text block
 _SAVE_BLOCK = 8192
+
+
+def _ascii_items(values: np.ndarray, sep: bytes, width: int) -> np.ndarray:
+    """Each value's decimal text followed by sep, as NUL-padded "S" items.
+
+    The first of the `width` text bytes holds the sign, and the digits
+    end at the last one; the NUL bytes between them are padding.
+    """
+    out = np.empty((len(values), width + len(sep)), dtype=np.uint8)
+    out[:, 0] = np.where(values < 0, ord("-"), 0)
+    # numpy divides uint64 by a scalar faster than int64
+    a = np.abs(values.astype(np.int64)).astype(np.uint64)
+    for k in range(width - 1, 0, -1):
+        q = a // 10
+        # leading zeros are padding; 0 itself keeps its units digit
+        out[:, k] = np.where((a > 0) | (k == width - 1), a - q * 10 + ord("0"),
+                             0)
+        a = q
+    out[:, width:] = np.frombuffer(sep, dtype=np.uint8)
+    return out.view(f"S{out.shape[1]}").ravel()
+
+
+def rows_text(matrix: np.ndarray, seps: tuple[str, ...]) -> Iterator[str]:
+    """The rows of a 2-D int matrix as ASCII text, in blocks of _SAVE_BLOCK rows.
+
+    Each value is written as ``str(int(value))`` followed by the
+    separator of its column, ``seps[j]`` for column j; nothing else is
+    written, so the last column's separator also ends the row. A block
+    is a gather from "S" items, one per value and separator, whose NUL
+    padding is then dropped. When the matrix holds at least four values
+    per table entry, one table per separator covers -top..top, top the
+    largest absolute value, and is built once. Otherwise each block's
+    values are formatted on their own, so no table grows with top.
+    """
+    if not matrix.size:
+        return
+    top = max(int(matrix.max()), -int(matrix.min()))
+    width = len(str(top)) + 1
+    seps = tuple(sep.encode("ascii") for sep in seps)
+    item = f"S{width + max(map(len, seps))}"
+    tables = None
+    if (2 * top + 1) * len(set(seps)) <= matrix.size // 4:
+        values = np.arange(-top, top + 1)
+        tables = {sep: _ascii_items(values, sep, width) for sep in set(seps)}
+    for lo in range(0, matrix.shape[0], _SAVE_BLOCK):
+        block = matrix[lo:lo + _SAVE_BLOCK]
+        out = np.empty(block.shape, dtype=item)
+        for j, sep in enumerate(seps):
+            if tables is None:
+                out[:, j] = _ascii_items(block[:, j], sep, width)
+            else:
+                out[:, j] = tables[sep][block[:, j].astype(np.intp) + top]
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_presentation(pres: Presentation, fh: IO[str]) -> None:
     fh.write(f"{pres.m} {pres.ell} {pres.model_tag} {pres.param!r} {pres.seed}\n")
-    line = " ".join(["%d"] * pres.ell) + "\n"
-    matrix = pres.relator_matrix
-    for lo in range(0, matrix.shape[0], _SAVE_BLOCK):
-        block = matrix[lo:lo + _SAVE_BLOCK]
-        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    fh.writelines(rows_text(pres.relator_matrix,
+                            (" ",) * (pres.ell - 1) + ("\n",)))
 
 
 def load_presentation(fh: IO[str]) -> Presentation:

@@ -7,16 +7,19 @@ split condition screened over all 2^m splits at once,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports, components by union-find, the canonical relator
-class, the rank mod p of a whole dense integer matrix, and the
-determinant by fraction-free elimination.
+class, the rank mod p of a whole dense integer matrix, the
+determinant by fraction-free elimination, and the presentation file
+and ``certify-free`` JSON as they were first written, a Python format
+per letter and ``json.dumps`` of Python lists.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -390,3 +393,22 @@ def bareiss_det(a) -> int:
                               - rows[i][k] * rows[k][j]) // prev
         prev = rows[k][k]
     return sign * prev
+
+
+# -------------------------------------------------------------- writers
+
+def reference_save_presentation(pres: Presentation, fh: IO[str]) -> None:
+    """The presentation file by one "%d" per letter, 8192 rows a write."""
+    fh.write(f"{pres.m} {pres.ell} {pres.model_tag} {pres.param!r} "
+             f"{pres.seed}\n")
+    line = " ".join(["%d"] * pres.ell) + "\n"
+    matrix = pres.relator_matrix
+    for lo in range(0, matrix.shape[0], 8192):
+        block = matrix[lo:lo + 8192]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def reference_report_json(report: Union[EliminationCertificate, StuckReport]
+                          ) -> str:
+    """The ``certify-free`` output line of a certificate or stuck report."""
+    return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"

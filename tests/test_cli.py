@@ -10,12 +10,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from randgroup import abelianization, experiments
+from oracles import reference_report_json
+from randgroup import abelianization, cli, experiments
 from randgroup.cli import _emit, build_parser, main
+from randgroup.fa_certificates import SL_MAX_M
+from randgroup.freeness import (EliminationCertificate, StuckReport,
+                                certify_free)
 from randgroup.hypergraph import diagnostics
-from randgroup.model import load_presentation
+from randgroup.model import (ModelParams, load_presentation,
+                             make_presentation, sample, save_presentation)
 from randgroup.words import is_cyclically_reduced
 
 
@@ -515,6 +521,135 @@ def test_emit_writes_the_json_text_in_slices(capsys):
     obj = {"b": "x" * (3 * 2**20 + 5), "a": list(range(10))}
     _emit(obj)
     assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(-3, 5),
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int32),
+    np.array([[1, -2, 3]], dtype=np.int32),
+    np.arange(-6, 6, dtype=np.int32).reshape(4, 3),
+    np.zeros((0, 4), dtype=np.int32),
+    np.array([[2**31 - 1], [-2**31]], dtype=np.int32),
+    # past one block of rows, through both the table and no table
+    np.arange(-9000, 9000).reshape(-1, 2) % 7 - 3,
+    np.arange(3 * 10**4) * 70_001 - 10**9,
+])
+def test_emit_streams_int_arrays_as_their_lists(capsys, array):
+    obj = {"b": array, "a": None, "c": {"z": array, "y": [1, 2]}}
+    _emit(obj)
+    want = {"b": array.tolist(), "a": None,
+            "c": {"z": array.tolist(), "y": [1, 2]}}
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
+
+
+def _certify_free_bytes(capsys, path):
+    assert main(["certify-free", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pres", [
+    make_presentation(6, 3, []),
+    make_presentation(6, 3, [(1, 2, 3)]),
+    make_presentation(5, 2, [(1, 5), (1, 2), (3, 4), (3, -4)]),
+    make_presentation(10**6, 4, [(10**6, 1, 10**6, 1),
+                                 (-(10**6 - 1), 2, 10**6 - 1, 2)]),
+    sample("binomial", ModelParams(2000, 3, 0.1 * 2000 ** -2.0, 11)),
+    sample("binomial", ModelParams(50, 3, 0.12 * 50 ** -2.0, 0)),
+    sample("binomial", ModelParams(3000, 4, 2e-10, 7)),
+    sample("positive", ModelParams(8, 5, 0.01, 4)),
+], ids=["empty", "one_step", "stuck_small", "stuck_near_m", "free_m2000",
+        "stuck_m50", "stuck_m3000", "positive"])
+def test_certify_free_bytes_match_the_json_of_lists(tmp_path, capsys, pres):
+    path = tmp_path / "x.pres"
+    with open(path, "w", encoding="ascii") as fh:
+        save_presentation(pres, fh)
+    assert _certify_free_bytes(capsys, path) == reference_report_json(
+        certify_free(pres))
+
+
+@pytest.mark.parametrize("k", [1, 8192, 8193])
+def test_emitted_reports_match_at_block_edges(capsys, k):
+    rows = (np.arange(4 * k, dtype=np.int32).reshape(k, 4) % 2001) - 1000
+    rows[rows == 0] = 1000
+    steps = tuple((int(r[0]), tuple(r.tolist())) for r in np.abs(rows))
+    cert = EliminationCertificate(steps=steps, final_rank=3)
+    stuck = StuckReport(rows, tuple(range(1, k + 1)), "no admissible pair")
+    for report, fields in ((cert, cli._certificate_fields(cert)),
+                           (stuck, stuck.json_fields())):
+        _emit(fields)
+        assert capsys.readouterr().out == reference_report_json(report)
+
+
+def test_check_fa_streams_the_free_certificate(tmp_path, capsys):
+    pres = sample("binomial", ModelParams(2000, 3, 0.1 * 2000 ** -2.0, 11))
+    path = tmp_path / "x.pres"
+    with open(path, "w", encoding="ascii") as fh:
+        save_presentation(pres, fh)
+    code, out, _ = run(capsys, "check-fa", str(path))
+    report = experiments.decide_verdict(
+        pres, budgets=experiments.Budgets(l_max_m=SL_MAX_M)).fa_report()
+    assert code == 0 and report.free_certificate is not None
+    assert out == json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+
+
+# runs the CLI, then prints its peak RSS in KiB to stderr. The child's
+# ru_maxrss would not do: on Linux it starts from the parent's peak
+PEAK_RSS = """import sys
+from randgroup.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1],
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _stuck_file(path, m):
+    # no generator occurs once, so every one of 1..m is left
+    path.write_text(f"{m} 4 manual 0.0 0\n1 2 1 2\n3 -4 3 -4\n"
+                    f"{-m} {m - 1} {-m} {m - 1}\n")
+
+
+def _stuck_text(m):
+    """The certify-free output for _stuck_file(m), in pieces."""
+    yield ('{"rank_negative": false, "reason": "no admissible '
+           'generator-relator pair", "remaining_generators": [')
+    for lo in range(1, m + 1, 10**6):
+        yield (", " if lo > 1 else "") + ", ".join(
+            map(str, range(lo, min(lo + 10**6, m + 1))))
+    yield (f'], "remaining_relators": [[1, 2, 1, 2], [3, -4, 3, -4], '
+           f'[{-m}, {m - 1}, {-m}, {m - 1}]], "stuck": true}}\n')
+
+
+def test_certify_free_streams_twenty_million_generators(tmp_path, capsys):
+    small = tmp_path / "small.pres"
+    _stuck_file(small, 1000)
+    with open(small, encoding="ascii") as fh:
+        report = certify_free(load_presentation(fh))
+    oracle = reference_report_json(report)
+    assert "".join(_stuck_text(1000)) == oracle
+    assert _certify_free_bytes(capsys, small) == oracle
+
+    m = 2 * 10**7
+    path, out = tmp_path / "huge.pres", tmp_path / "huge.json"
+    _stuck_file(path, m)
+    with open(out, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, "certify-free", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=fh,
+            stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # json.dumps of the generator list peaked at 1.3 GB
+    assert int(proc.stderr.split()[-1]) <= 600 * 1024
+    want = hashlib.sha256()
+    for piece in _stuck_text(m):
+        want.update(piece.encode("ascii"))
+    got = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for chunk in iter(lambda: fh.read(2**24), b""):
+            got.update(chunk)
+    assert got.hexdigest() == want.hexdigest()
 
 
 def test_bad_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -35,6 +35,7 @@ from randgroup.model import (
     universe_size,
     _sample_distinct,
 )
+from oracles import reference_save_presentation
 from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
@@ -216,6 +217,81 @@ def test_file_round_trip():
     assert back.model_tag == "binomial"
     assert back.param == pres.param
     assert back.seed == 55
+
+
+# ------------------------------------------------------------ file writer
+
+def _saved(pres, writer=save_presentation) -> str:
+    buf = io.StringIO()
+    writer(pres, buf)
+    return buf.getvalue()
+
+
+def _builds_table(pres) -> bool:
+    # rows_text's rule, for the two separators of a presentation file
+    matrix = pres.relator_matrix
+    top = int(np.abs(matrix.astype(np.int64)).max())
+    return (2 * top + 1) * min(pres.ell, 2) <= matrix.size // 4
+
+
+@pytest.mark.parametrize("tag, m, ell, param, seed", [
+    ("binomial", 5000, 1, 0.3, 16),
+    ("binomial", 200, 2, 0.05, 2),
+    ("binomial", 10**6, 3, 1e-15, 15),
+    ("binomial", 3000, 4, 1e-9, 7),
+    ("positive", 8, 5, 0.01, 4),
+    ("binomial", 20, 6, 1e-7, 5),
+])
+def test_saved_file_matches_the_format_per_letter(tag, m, ell, param, seed):
+    pres = sample(tag, ModelParams(m, ell, param, seed))
+    assert len(pres) > 100
+    assert _saved(pres) == _saved(pres, reference_save_presentation)
+
+
+def _first_words(k, scale):
+    # the first k words over 20 generators, each generator g renamed
+    # g * scale, so the letters reach +-20 * scale
+    words = enumerate_cyclically_reduced(20, 3)[:k]
+    return make_presentation(20 * scale, 3, [tuple(x * scale for x in w)
+                                             for w in words])
+
+
+@pytest.mark.parametrize("k", [0, 1, model._SAVE_BLOCK, model._SAVE_BLOCK + 1])
+@pytest.mark.parametrize("scale", [1, 50_000])
+def test_saved_file_block_edges(k, scale):
+    pres = _first_words(k, scale)
+    assert len(pres) == k
+    if k > 1:
+        assert _builds_table(pres) == (scale == 1)
+    assert _saved(pres) == _saved(pres, reference_save_presentation)
+
+
+@pytest.mark.parametrize("pres, table", [
+    # every word over 7 generators: the table covers -7..7
+    (make_presentation(7, 3, enumerate_cyclically_reduced(7, 3)), True),
+    (make_presentation(10**8, 4, [(10**8, -(10**8 - 1), 10**8, 1),
+                                  (-10**8, 5, -10**8, 3), (1, 2, 3, 4),
+                                  (-1, -(10**8 - 7), 99_999_999, 10)]),
+     False),
+    (make_presentation(2**31 - 1, 2, [(2**31 - 1, 2**31 - 1),
+                                      (1 - 2**31, -5), (9, 10)]), False),
+])
+def test_saved_file_letters_near_m(pres, table):
+    assert _builds_table(pres) == table
+    text = _saved(pres)
+    assert text == _saved(pres, reference_save_presentation)
+    assert load_presentation(io.StringIO(text)) == pres
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-2**31, 2**31 - 1), min_size=3,
+                         max_size=3), max_size=40),
+       st.lists(st.sampled_from([" ", "\n", ", ", "], [", ""]), min_size=3,
+                max_size=3))
+def test_rows_text_writes_each_value_and_its_separator(rows, seps):
+    matrix = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    assert "".join(model.rows_text(matrix, tuple(seps))) == "".join(
+        f"{x}{sep}" for row in rows for x, sep in zip(row, seps))
 
 
 LOADER_FAULTS = [
