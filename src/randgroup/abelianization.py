@@ -156,9 +156,10 @@ class IntegerRowBasis:
     entry can overflow.
     """
 
-    def __init__(self, m: int):
-        self.m = m
+    def __init__(self, rows=()):
         self.pivots: dict[int, np.ndarray] = {}
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -202,13 +203,6 @@ class IntegerRowBasis:
         return [self.pivots[j].tolist() for j in sorted(self.pivots)]
 
 
-def _fold(rows, m: int) -> IntegerRowBasis:
-    basis = IntegerRowBasis(m)
-    for row in rows:
-        basis.add(row)
-    return basis
-
-
 # ------------------------------------------------------------- Smith form
 
 def smith_normal_form(M) -> tuple[int, ...]:
@@ -226,13 +220,11 @@ def smith_normal_form(M) -> tuple[int, ...]:
     (gcd, lcm), which gives the divisibility chain.
     """
     rows = list(M)
-    m = len(rows[0]) if rows else 0
     while True:
-        basis = _fold(rows, m)
+        basis = IntegerRowBasis(rows)
         rows = basis.matrix()
         if all(np.count_nonzero(piv) == 1 for piv in basis.pivots.values()):
             break
-        m = len(rows)
         rows = list(zip(*rows))
     diags = [x for row in rows for x in row if x]
     for i in range(len(diags)):
@@ -499,7 +491,7 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
                                   f"{m} x {len(used)} solve entries")
     X = _solve(entries, peel._replace(seeds=used), m)
     core = np.flatnonzero(peel.core)
-    basis = IntegerRowBasis(len(used))
+    basis = IntegerRowBasis()
     for lo in range(0, len(core), _CHUNK):
         for row in _times(entries, core[lo:lo + _CHUNK], X):
             basis.add(row)

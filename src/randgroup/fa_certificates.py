@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .freeness import EliminationCertificate
-from .hypergraph import build
+from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
 DEFAULT_EPSILON = Fraction(1, 100)
@@ -194,6 +194,8 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     one-letter search opens a frame at the last position, its root.
     ``budget`` bounds the number of candidate sets, the counted ones
     included, exactly as a search walking every one of them would. The
+    memo of relator sets searched in vain is charged in 8-byte words
+    against _DENSE_CAP, and raises BudgetExceededError past it. The
     search opens one frame per relator position, so a relator longer
     than half the recursion limit raises BudgetExceededError instead.
     """
@@ -222,6 +224,11 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
     nodes = 0
     # per position, the compatible relator sets already searched in vain
     dead: list[set[int]] = [set() for _ in range(ell)]
+    # a k-bit int is at most k/60 + 5 words in 16-byte blocks, and its
+    # set slot 6.7 (2 words, 30% full); a visit adds at most one entry
+    # and each open frame one more, so the memo is counted past limit
+    held_max = _DENSE_CAP // (k // 60 + 12)
+    limit = min(budget, held_max - ell)
 
     def pad(avoid: Container[int], count: int) -> tuple[int, ...]:
         out = []
@@ -233,12 +240,19 @@ def check_L_exact(pres: Presentation, eps=DEFAULT_EPSILON,
         return tuple(out)
 
     def visit(count: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, limit
         nodes += count
-        if nodes > budget:
-            raise BudgetExceededError(
-                "check_L_exact", budget,
-                f"search exceeded {budget} nodes at m={m}, s={s}")
+        if nodes > limit:
+            if nodes > budget:
+                raise BudgetExceededError(
+                    "check_L_exact", budget,
+                    f"search exceeded {budget} nodes at m={m}, s={s}")
+            held = sum(map(len, dead))
+            if held + ell > held_max:
+                raise BudgetExceededError(
+                    "check_L_exact", _DENSE_CAP,
+                    f"memo of {held} {k}-bit masks at m={m}, s={s}")
+            limit = min(budget, nodes + held_max - ell - held)
 
     def dfs(i: int, compatible: int) -> Optional[list]:
         # the witness sets for positions i.. when one exists; compatible

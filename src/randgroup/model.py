@@ -173,12 +173,11 @@ class Presentation:
     reproducible.
     """
 
-    __slots__ = ("m", "ell", "model_tag", "param", "seed", "notes",
+    __slots__ = ("m", "ell", "model_tag", "param", "seed",
                  "relator_matrix", "_relators", "_index")
 
     def __init__(self, m: int, ell: int, model_tag: str, param: float,
-                 seed: int, relator_matrix: np.ndarray,
-                 notes: tuple[str, ...] = ()):
+                 seed: int, relator_matrix: np.ndarray):
         # internal constructor: relator_matrix must already be validated,
         # deduplicated, and sorted (use make_presentation for raw words)
         self.m = m
@@ -186,7 +185,6 @@ class Presentation:
         self.model_tag = model_tag
         self.param = param
         self.seed = seed
-        self.notes = notes
         self.relator_matrix = relator_matrix
         self._relators: tuple[Word, ...] | None = None
         self._index = None  # hypergraph.build's incidence index
@@ -222,8 +220,7 @@ class Presentation:
 
 
 def make_presentation(m: int, ell: int, relators, model_tag: str = "manual",
-                      param: float = 0.0, seed: int = 0,
-                      notes: tuple[str, ...] = ()) -> Presentation:
+                      param: float = 0.0, seed: int = 0) -> Presentation:
     """Build a presentation from explicit words, validating every relator."""
     if model_tag not in MODEL_TAGS:
         raise DomainError(f"unknown model tag {model_tag!r}")
@@ -246,7 +243,7 @@ def make_presentation(m: int, ell: int, relators, model_tag: str = "manual",
     matrix = (np.array(rows, dtype=np.int32) if rows
               else np.empty((0, ell), dtype=np.int32))
     return Presentation(m, ell, model_tag, param, seed,
-                        _sorted_distinct_rows(matrix, m), notes)
+                        _sorted_distinct_rows(matrix, m))
 
 
 def euler_characteristic(pres: Presentation) -> int:
@@ -373,18 +370,20 @@ def _mean_count(n_universe: int, p: float) -> float:
         return math.exp(log_mean) if log_mean < 709.0 else math.inf
 
 
-def _draw_relator_count(n_universe: int, p: float, rng: np.random.Generator,
-                        notes: list[str]) -> int:
-    """Binomial(N, p) with N exact; Poisson fallback only in its safe regime."""
+def _draw_relator_count(n_universe: int, p: float,
+                        rng: np.random.Generator) -> int:
+    """Binomial(N, p) while N <= 2^63 - 1, Poisson(N p) past it: within
+    N p^2 = (N p) p in total variation (Le Cam). A count under the cap
+    there needs N p below 1.1e7, so p <= 1.2e-12 and N p^2 <= 1.3e-5.
+    _sample_distinct refuses larger counts, and this a mean past what
+    rng.poisson takes, with the same error."""
     if n_universe <= _INT64_MAX:
         return int(rng.binomial(n_universe, p))
-    mean = _mean_count(n_universe, p)
-    if p < 1e-8 and mean < float(_INT64_MAX):
-        notes.append("poisson_approximation")
-        return int(rng.poisson(mean))
-    raise DomainError("universe exceeds 2^63 and the Poisson regime does not "
-                      "apply; exact binomial sampling is not available at "
-                      "this size")
+    try:
+        return int(rng.poisson(_mean_count(n_universe, p)))
+    except ValueError:  # numpy's "lam value too large", near 2^63
+        raise BudgetExceededError("sample", MAX_RELATORS,
+                                  "mean relator count past 2^63") from None
 
 
 def _enumerate_universe_matrix(m: int, ell: int, positive: bool) -> np.ndarray:
@@ -433,14 +432,6 @@ def _sample_distinct(m: int, ell: int, k: int, positive: bool,
     return rows[first[first <= last]]
 
 
-def _finish(params: ModelParams, tag: str, matrix: np.ndarray,
-            notes: list[str]) -> Presentation:
-    # every sampler path yields distinct rows in word order: the
-    # universe is enumerated in that order
-    return Presentation(params.m, params.ell, tag, params.param, params.seed,
-                        matrix, tuple(notes))
-
-
 def _sample_bernoulli(params: ModelParams, positive: bool) -> Presentation:
     """Each word of the universe is a relator with probability p: the
     cyclically reduced words of length ell, or with ``positive`` the
@@ -450,15 +441,16 @@ def _sample_bernoulli(params: ModelParams, positive: bool) -> Presentation:
         raise DomainError(f"probability must lie in [0,1], got {p}")
     tag = "positive" if positive else "binomial"
     rng = make_rng(params.seed)
-    notes: list[str] = []
     n_universe = universe_size(m, ell, positive)
+    # every path yields distinct rows in word order: the universe is
+    # enumerated in that order
     if n_universe <= SMALL_UNIVERSE_MAX:
-        universe = _enumerate_universe_matrix(m, ell, positive)
-        mask = rng.random(n_universe) < p
-        return _finish(params, tag, universe[mask], notes)
-    k = _draw_relator_count(n_universe, p, rng, notes)
-    matrix = _sample_distinct(m, ell, k, positive, rng)
-    return _finish(params, tag, matrix, notes)
+        matrix = _enumerate_universe_matrix(m, ell, positive)
+        matrix = matrix[rng.random(n_universe) < p]
+    else:
+        k = _draw_relator_count(n_universe, p, rng)
+        matrix = _sample_distinct(m, ell, k, positive, rng)
+    return Presentation(m, ell, tag, p, params.seed, matrix)
 
 
 sample_binomial = partial(_sample_bernoulli, positive=False)
@@ -485,8 +477,8 @@ def sample_uniform_count(params: ModelParams) -> Presentation:
     m, ell, d = params.m, params.ell, params.param
     rng = make_rng(params.seed)
     k = uniform_count_size(m, ell, d)
-    matrix = _sample_distinct(m, ell, k, False, rng)
-    return _finish(params, "uniform_count", matrix, [])
+    return Presentation(m, ell, "uniform_count", d, params.seed,
+                        _sample_distinct(m, ell, k, False, rng))
 
 
 SAMPLERS = {

@@ -308,6 +308,8 @@ def test_huge_generator_count_hits_cap_before_allocating(tmp_path, capsys,
     (["sample", "-m", "40", "-l", "6", "--density", "0.9"], "sample", 10**7),
     (["sample", "-m", "1000000", "-l", "100", "--model", "uniform_count",
       "--density", "0.9"], "sample", 10**7),
+    # a universe past 2^63 - 1, where the count is Poisson(3.2e14)
+    (["sample", "-m", "10000", "-l", "5", "--p", "1e-7"], "sample", 10**7),
 ])
 def test_every_limit_prints_one_json_line(tmp_path, capsys, argv, check,
                                           limit):
@@ -346,6 +348,8 @@ def test_abelianize_past_the_solve_cap_prints_one_json_line(tmp_path, capsys,
     # (ln 1)^-1, and (ln 3)^1e308
     ["--ms", "1", "-l", "3", "--grid", "1:-1", "--grid-kind", "c_log_pow"],
     ["--ms", "3", "-l", "3", "--grid", "1:1e308", "--grid-kind", "c_log_pow"],
+    # beyond the relator cap in a universe past 2^63 - 1
+    ["--ms", "10000", "-l", "5", "--grid", "1e-7"],
 ])
 def test_sweep_refuses_a_bad_point_before_any_trial(tmp_path, capsys, argv):
     target = tmp_path / "s.csv"

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randgroup.abelianization as abz
-from randgroup import cli, experiments
+from randgroup import cli, experiments, fa_certificates
 from randgroup.errors import (BudgetExceededError, DomainError,
                               NoCrossingError, NonMonotoneTrendError)
 from randgroup.experiments import (
@@ -120,6 +120,18 @@ def test_trial_budget_error_recorded():
     rec = run_trial("positive", params, budgets=Budgets(l_nodes=2))
     assert rec.budget_errors == ("check_L_exact",)
     assert rec.verdict == "Unknown"
+
+
+def test_sweep_records_the_L_memo_cap(monkeypatch):
+    # a node budget far past reach, and a memo cap of 10^4 words that
+    # the L searches at m=8, p=0.5 pass; with the default cap L holds
+    monkeypatch.setattr(fa_certificates, "_DENSE_CAP", 10**4)
+    config = mk_config(ms=(8,), model="positive", grid=(0.5,), trials=2,
+                       master_seed=0, eps=Fraction(1, 3),
+                       analyses=frozenset({"fa"}),
+                       budgets=Budgets(l_nodes=10**12))
+    records = sweep(config, workers=1).records
+    assert [r.budget_errors for r in records] == [("check_L_exact",)] * 2
 
 
 def test_trial_surjection_budget_error_recorded(monkeypatch):

@@ -117,6 +117,21 @@ def test_L_budget():
         check_L_exact(pres, Fraction(1, 3), budget=3)
 
 
+def test_L_memo_cap(monkeypatch):
+    # GOLDEN_L's m=8, p=0.3 search: 168 relators, charged 14 words per
+    # memo entry, 116 636 nodes and fewer than 2 400 entries. A cap of
+    # 10^5 words (7 142 entries) is counted against again and again and
+    # moves no node count; 10^4 words (714 entries) is exceeded.
+    pres = sample("positive", ModelParams(8, 3, 0.3, 0))
+    eps = Fraction(1, 3)
+    monkeypatch.setattr(fa_certificates, "_DENSE_CAP", 10**5)
+    assert check_L_against_reference(pres, eps) == 116_636
+    monkeypatch.setattr(fa_certificates, "_DENSE_CAP", 10**4)
+    with pytest.raises(BudgetExceededError) as err:
+        check_L_exact(pres, eps, budget=10**12)
+    assert (err.value.check, err.value.limit) == ("check_L_exact", 10**4)
+
+
 def test_L_bad_epsilon():
     pres = make_presentation(2, 3, [])
     for bad in (0, 1, Fraction(5, 4), -1):

@@ -12,6 +12,7 @@ from scipy import stats
 
 from randgroup import model
 from randgroup.errors import (
+    BudgetExceededError,
     CountExceedsUniverseError,
     DomainError,
     PresentationFormatError,
@@ -560,3 +561,21 @@ def test_golden_make_presentation_bytes():
     words = [rels[i] for i in rng.integers(0, len(rels), size=2 * len(rels))]
     assert _digest(make_presentation(10**4, 5, words)) == (
         8246, "d408b77ce982afbe", "b5aff9f96c3650ff")
+
+
+def test_count_past_an_int64_universe_is_poisson():
+    # N = 3.2e21 words is past 2^63 - 1, so the first draw is the count,
+    # Poisson(N p) with N p = 3199.2
+    n = universe_size(10**4, 5)
+    assert n > 2**63 - 1
+    pres = sample("binomial", ModelParams(10**4, 5, 1e-18, 3))
+    assert len(pres) == int(make_rng(3).poisson(float(n) * 1e-18))
+    assert _digest(pres) == (3063, "35af0110999d3bcc", "bb62ff9468915cfe")
+
+
+@pytest.mark.parametrize("ell, p", [(5, 1e-7), (9, 1.0)])
+def test_poisson_count_past_the_cap_is_over_budget(ell, p):
+    # a mean of 3.2e14 relators, and one past what rng.poisson takes
+    with pytest.raises(BudgetExceededError) as err:
+        sample("binomial", ModelParams(10**4, ell, p, 0))
+    assert (err.value.check, err.value.limit) == ("sample", 10**7)
