@@ -22,21 +22,30 @@ gates only the m |S| entries of X.
 The rank decision is tiered because sweeps push it to millions of
 relators against thousands of generators:
 
-  1. structural certificates: no relators, fewer nonzero rows than
+  1. a row sample, tried when there are |R| >= 32 m relators, as there
+     are past the free threshold; with fewer, a sample of short
+     relators misses columns outright. It takes every stride-th
+     relator, stride the floor of |R| / 16 m, so 16 m to 32 m of them,
+     peeled and ranked as in tier 3. The rank of any set of rows is a lower bound on rank E, so a
+     full-rank sample proves full rank exactly, and the report is the
+     one the later tiers give a full-rank E: tier 2 fires only on a
+     deficit. A deficient sample, or one whose core would pass the
+     dense cap, proves nothing, and the decision falls through to tier
+     2 as if no sample had been taken.
+  2. structural certificates: no relators, fewer nonzero rows than
      generators, a generator with zero exponent everywhere, or all row
      sums zero (send every generator to 1). All exact.
-  2. rank mod PRIME_A of |C| plus a compressed N X, with X solved mod
+  3. rank mod PRIME_A of |C| plus a compressed N X, with X solved mod
      p. The core rows N are randomly partitioned into |S| + 64 balanced
      buckets and each bucket summed with random nonzero coefficients.
-     Compression only ever loses rank, so a full-rank compressed core
-     proves full rational rank, settling the question exactly. A plain
-     row sample would not work here: with short relators it misses
-     columns outright. The core is lossless when there are kn <= m + 64
+     Compression only ever loses rank, as a sample does, so a full-rank
+     compressed core proves full rational rank, settling the question
+     exactly. The core is lossless when there are kn <= m + 64
      nonzero rows: it then has at most kn - |C| <= |S| + 64 rows, one
      per bucket, so its rank mod p is that of the whole matrix. Its
      dense part, (|S| + 64) x m buckets and the m x |S| solve, is gated
      by the same cap as the other dense work.
-  3. on a deficit, a witness w in ℤ^m, primitive and nonzero, with
+  4. on a deficit, a witness w in ℤ^m, primitive and nonzero, with
      E w = 0 checked exactly on the sparse rows. The core's kernel
      vector mod p, 1 at its first free column f and 0 past it, maps
      through the solve to x mod p; over ℚ, x is a ratio of minors of E
@@ -64,13 +73,16 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._modrank import _MAX_DIM, _eliminate, _kernel_vector, _red
+from ._modrank import PRIME_A, _MAX_DIM, _eliminate, _kernel_vector, _red
 from .errors import BudgetExceededError
 from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
 # extra buckets beyond the seed count in the compressed core
 _SUB_EXTRA = 64
+# relators per generator in the sample ranked first, when there are at
+# least twice as many
+_SAMPLE_ROWS = 16
 _CHUNK = 8192
 # the rank primes are those in [_PRIME_FLOOR, 2 * _PRIME_FLOOR)
 _PRIME_FLOOR = 2**18
@@ -110,18 +122,21 @@ def exponent_matrix(pres: Presentation) -> np.ndarray:
     return out
 
 
-def _exponent_entries(pres: Presentation) -> tuple[np.ndarray, ...]:
+def _exponent_entries(pres: Presentation, select: slice = slice(None)
+                      ) -> tuple[np.ndarray, ...]:
     """Sparse triplets (relator id, generator index 0-based, exponent)
     sorted by (row, column), zero exponents dropped, and the pointer
     bounding each nonzero row's entries. Each run of equal generators
-    in an incidence-index row sums its signs into one exponent."""
+    in an incidence-index row sums its signs into one exponent. Only
+    the index rows in `select` are read, and a relator id is its place
+    among them."""
     index = build(pres)
-    start = np.flatnonzero(index.run_starts)
-    vals = np.add.reduceat(index.signs.ravel(), start, dtype=np.int64)
+    start = np.flatnonzero(index.run_starts[select])
+    vals = np.add.reduceat(index.signs[select].ravel(), start, dtype=np.int64)
     keep = vals != 0
     start = start[keep]
     rows = start // pres.ell
-    cols = index.gens.ravel()[start].astype(np.int64) - 1
+    cols = index.gens[select].ravel()[start].astype(np.int64) - 1
     row_ptr = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(rows))
     return rows, cols, vals[keep], row_ptr
 
@@ -239,13 +254,15 @@ def smith_normal_form(M) -> tuple[int, ...]:
 class _Peel(NamedTuple):
     """Where the peel left the exponent matrix.
 
-    rounds holds, per round, the pivot rows (local indices), their
-    pivot columns and pivot exponents (±1); seeds lists the columns
-    resolved without a pivot as they were added, the n_zero zero columns
-    first. local maps each entry to its row's local index, its place in
-    the entries' row pointer; core marks the rows that are not pivots.
+    rounds holds, per round, the pivot columns and pivot exponents (±1),
+    then the pivot rows' entries gathered once: their columns, their
+    exponents and the offset of each row's first entry, for reduceat.
+    seeds lists the columns resolved without a pivot as they were added,
+    the n_zero zero columns first. local maps each entry to its row's
+    local index, its place in the entries' row pointer; core marks the
+    rows that are not pivots.
     """
-    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    rounds: list[tuple[np.ndarray, ...]]
     seeds: np.ndarray
     n_zero: int
     local: np.ndarray
@@ -290,8 +307,12 @@ def _peel(entries, m: int) -> _Peel:
         cand = np.sort(touched[one])
         if len(cand):
             new, first = np.unique(col_sum[cand], return_index=True)
-            rounds.append((cand[first], new, val_sum[cand[first]]))
-            core[cand[first]] = False
+            prow = cand[first]
+            n = row_ptr[prow + 1] - row_ptr[prow]
+            at = _ranges(row_ptr[prow], n)
+            rounds.append((new, val_sum[prow], cols[at], vals[at],
+                           np.cumsum(n) - n))
+            core[prow] = False
         else:
             while resolved[heaviest[next_seed]]:
                 next_seed += 1
@@ -316,19 +337,26 @@ def _times(entries, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.add.reduceat(vals[idx, None] * X[cols[idx]], np.cumsum(n) - n)
 
 
-def _solve(entries, peel: _Peel, m: int, p: Optional[int] = None
-           ) -> np.ndarray:
+def _solve(peel: _Peel, m: int, p: Optional[int] = None) -> np.ndarray:
     """X, the identity on the seeds S with P X = 0 on the pivot rows P,
     by forward substitution in peel order: mod p in int64, or exactly in
-    Python integers if p is None. A pivot's own entry adds nothing, as
-    its row of X is still zero, and its exponent ±1 is its own inverse."""
+    Python integers if p is None. Each round reads only the pivot rows'
+    entries that the peel gathered, so a lift over many primes repeats
+    no indexing. A pivot's own entry adds nothing, as its row of X is
+    still zero, and its exponent ±1 is its own inverse."""
     s = len(peel.seeds)
     X = np.zeros((m, s), dtype=object if p is None else np.int64)
     X[peel.seeds, np.arange(s)] = 1
-    for prow, pcol, pval in peel.rounds:
-        new = -pval[:, None] * _times(entries, prow, X)
+    for pcol, pval, cols, vals, starts in peel.rounds:
+        new = -pval[:, None] * np.add.reduceat(vals[:, None] * X[cols], starts)
         X[pcol] = new if p is None else new % p
     return X
+
+
+def _core_cells(s: int, m: int) -> int:
+    """Dense entries _core_rank needs with s seeds: (s + 64) x m buckets
+    and the m x s solve."""
+    return (s + _SUB_EXTRA) * m + m * s
 
 
 def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
@@ -352,12 +380,13 @@ def _core_rank(entries, peel: _Peel, m: int, p: int, seed: int
     if s == 0:
         return m, 0, None
     n_buckets = s + _SUB_EXTRA
-    if n_buckets * m + m * s > _DENSE_CAP:
+    need = _core_cells(s, m)
+    if need > _DENSE_CAP:
         raise BudgetExceededError(
             "surjects_onto_Z", _DENSE_CAP,
             f"peeled core of {s} seed columns at m={m} needs "
-            f"{n_buckets * m + m * s} dense entries")
-    X = _solve(entries, peel, m, p)
+            f"{need} dense entries")
+    X = _solve(peel, m, p)
     kn = len(row_ptr) - 1
     n_core = int(peel.core.sum())
     rng = np.random.default_rng(seed)
@@ -427,13 +456,32 @@ def _kills(entries, w: list[int]) -> bool:
     return not np.add.reduceat(terms, row_ptr[:-1]).any()
 
 
+def _sample_has_full_rank(pres: Presentation, stride: int) -> bool:
+    """True if the exponent rows of every stride-th relator alone are
+    shown to have rank m, by the compressed core of their own peel mod
+    PRIME_A; False on a deficit or if that core is over the dense cap."""
+    sample = _exponent_entries(pres, slice(None, None, stride))
+    peel = _peel(sample, pres.m)
+    return (_core_cells(len(peel.seeds), pres.m) <= _DENSE_CAP and
+            _core_rank(sample, peel, pres.m, PRIME_A, 0x5EED1)[0] == pres.m)
+
+
 def surjects_onto_Z_details(pres: Presentation) -> ZSurjectionReport:
     """Full report of the ℤ-surjection decision: verdict, exactness
     (always exact), which tier settled it, and on a rank deficit a
-    primitive w in ℤ^m with exponent_matrix(pres) @ w == 0."""
+    primitive w in ℤ^m with exponent_matrix(pres) @ w == 0.
+
+    With at least 32 m relators a row sample is ranked first; when it
+    has full rank the whole matrix does, and the report is
+    full_rank_mod_p without the full exponent triplets ever being
+    built. Otherwise the sample is dropped and the report is the one
+    the whole matrix gives."""
     m = pres.m
     if len(pres) == 0:
         return ZSurjectionReport(True, True, "no_relators")
+    stride = len(pres) // (_SAMPLE_ROWS * m)
+    if stride >= 2 and _sample_has_full_rank(pres, stride):
+        return ZSurjectionReport(False, True, "full_rank_mod_p")
     entries = _exponent_entries(pres)
     _, cols, vals, row_ptr = entries
     kn = len(row_ptr) - 1
@@ -489,7 +537,7 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     if m * len(used) > _DENSE_CAP:
         raise BudgetExceededError("abelian_invariants", _DENSE_CAP,
                                   f"{m} x {len(used)} solve entries")
-    X = _solve(entries, peel._replace(seeds=used), m)
+    X = _solve(peel._replace(seeds=used), m)
     core = np.flatnonzero(peel.core)
     basis = IntegerRowBasis()
     for lo in range(0, len(core), _CHUNK):

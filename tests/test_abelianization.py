@@ -609,6 +609,76 @@ def test_lossless_core_memory_gate_raises_typed_error(monkeypatch):
     assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
 
 
+# ---------------------------------------- row sample of at least 32 m rows
+
+NO_SAMPLE = 10**9  # _SAMPLE_ROWS past any relator count: no sample
+
+
+def test_deficient_sample_falls_through_to_the_same_witness(monkeypatch):
+    pres = rank_deficient(60, 4000)
+    assert len(pres) >= 32 * 60
+    want = ZR(True, True, "integer_kernel_vector", (0,) * 58 + (1, 1))
+    tried, ranked = [], abz._sample_has_full_rank
+
+    def spy(*args):
+        tried.append(ranked(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(abz, "_sample_has_full_rank", spy)
+    assert surjects_onto_Z_details(pres) == want
+    assert tried == [False]
+    monkeypatch.setattr(abz, "_SAMPLE_ROWS", NO_SAMPLE)
+    assert surjects_onto_Z_details(pres) == want
+    assert tried == [False]
+
+
+@st.composite
+def dense_presentations(draw):
+    # 32 m to 48 m distinct rows, so the row sample is ranked first;
+    # rows orthogonal to a vector v make the matrix rank deficient
+    m, ell = draw(st.sampled_from(
+        [(2, 4), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3)]))
+    pool = word_pool(m, ell)
+    if draw(st.booleans()):
+        v = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)
+                 .filter(any))
+        confined = [w for w in pool if sum(
+            a * b for a, b in zip(word_exponents(w, m), v)) == 0]
+        if len(confined) >= 32 * m:
+            pool = confined
+    k = draw(st.integers(32 * m, min(len(pool), 48 * m)))
+    return make_presentation(m, ell, draw(st.permutations(pool))[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_presentations())
+def test_sample_changes_no_report(pres):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abz, "_SAMPLE_ROWS", NO_SAMPLE)
+        full = surjects_onto_Z_details(pres)
+    assert surjects_onto_Z_details(pres) == full
+
+
+def test_sample_past_the_dense_cap_falls_through(monkeypatch):
+    # the sample leaves more seeds than the whole matrix: a cap that
+    # fits the full path exactly refuses the sample, not the answer
+    m = 100
+    pres = _dense_trial_shaped(m, 1)
+    stride = len(pres) // (abz._SAMPLE_ROWS * m)
+    assert stride >= 2
+    sample, full = (abz._core_cells(len(abz._peel(
+        abz._exponent_entries(pres, sel), m).seeds), m)
+        for sel in (slice(None, None, stride), slice(None)))
+    assert sample > full
+    monkeypatch.setattr(abz, "_DENSE_CAP", full)
+    assert surjects_onto_Z_details(pres) == ZR(False, True, "full_rank_mod_p")
+    monkeypatch.setattr(abz, "_DENSE_CAP", full - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        surjects_onto_Z_details(pres)
+    assert err.value.check == "surjects_onto_Z"
+    assert err.value.limit == full - 1
+
+
 @st.composite
 def tall_presentations(draw, extra_rows):
     # m + extra_rows nonzero rows, for extra_rows drawn from the given
