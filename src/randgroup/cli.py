@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -219,8 +218,14 @@ def _cmd_sweep(args) -> int:
         settings["master_seed"] = _default_seed()
     config = SweepConfig.from_json_dict(settings)
     workers = args.threads or os.cpu_count() or 1
-    result = sweep(config, workers=workers, csv_path=args.output,
-                   jsonl_path=args.jsonl)
+    # imported here, not at start: only a sweep can break a process pool
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        result = sweep(config, workers=workers, csv_path=args.output,
+                       jsonl_path=args.jsonl)
+    except BrokenProcessPool as exc:
+        print(f"error: a sweep worker died: {exc}", file=sys.stderr)
+        return 1
     if not args.output:
         sys.stdout.write(result.csv_text())
     print(f"{len(result.points)} grid points x {config.trials} trials "
@@ -331,9 +336,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BrokenProcessPool as exc:
-        print(f"error: a sweep worker died: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc),
                "check": exc.check, "limit": exc.limit})

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from numbers import Real
@@ -498,6 +496,12 @@ def _sweep_task(args):
                      point_index=pi, trial_index=ti)
 
 
+# the process pool class; None stands for concurrent.futures', imported
+# by each sweep that starts a pool, so that importing this module loads
+# no process machinery (tests put an inline pool here)
+ProcessPoolExecutor = None
+
+
 def pool_size(workers: int, n_tasks: int) -> int:
     """Worker count of a sweep: fork starts all at once, so <= cores."""
     return max(1, min(workers, n_tasks, os.cpu_count() or 1))
@@ -516,9 +520,13 @@ def sweep(config: SweepConfig, workers: int = 1,
     if size == 1:
         records = [_sweep_task(t) for t in tasks]
     else:
+        import multiprocessing
+        pool_class = ProcessPoolExecutor
+        if pool_class is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_class
         # a worker that dies raises BrokenProcessPool here
         chunk = max(1, len(tasks) // (4 * size))
-        with ProcessPoolExecutor(
+        with pool_class(
                 size, mp_context=multiprocessing.get_context("fork")) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=chunk))
     records.sort(key=lambda r: (r.point_index, r.trial_index))

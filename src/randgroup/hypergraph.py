@@ -22,7 +22,16 @@ that hold asymptotically in the sparse regime:
   6. the type-2 edges form a matching (no shared vertices)
 
 All of it is vectorized in numpy alone, components too; a presentation
-with 10^6 relators is processed in seconds.
+with 10^6 relators is processed in seconds. Components come from root
+hooking. Past the free threshold there are far more uniform edges than
+vertices, and most of them join vertices already joined, so with at
+least 16m edges the components are first hooked on a strided sample of
+about 8m edges; every edge is then mapped to the sample's components,
+and only the few that still cross two of them are hooked again over
+those contracted components. The result is exact, and each label is the
+one a single pass over all edges gives (see ``_component_labels``).
+Each support class is gathered once, and the double edges are counted
+on one sorted packed key per support.
 """
 
 from __future__ import annotations
@@ -33,16 +42,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .model import Presentation, _letter_codes, key_runs, row_keys
+from .model import Presentation, _identity, _letter_codes, row_keys
 
 
 # most entries of any dense array built per presentation: the
 # generator counts here, and the exponent matrices of abelianization
 _DENSE_CAP = 2 * 10**8
-
-
-def _identity(column: np.ndarray) -> np.ndarray:
-    return column
 
 
 class SupportHypergraph:
@@ -109,21 +114,16 @@ def build(pres: Presentation) -> SupportHypergraph:
     return pres._index
 
 
-def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """Component labels over vertices 1..m, numbered 0, 1, ... in order of
-    first appearance along 1..m; only the ell-uniform edges connect.
+def _hook(m: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component labels over vertices 0..m-1 joined by the pairs (u, v),
+    numbered 0, 1, ... in order of first appearance along 0..m-1.
 
-    Root hooking: each round, every edge still joining two trees hooks the
+    Root hooking: each round, every pair still joining two trees hooks the
     larger root onto the smaller, then paths are compressed fully. Parents
     only decrease, so each root ends as its component's least vertex, and
-    its rank is the label. int32 holds every vertex id (m + 1 <= the cap).
+    its rank is the label.
     """
     parent = np.arange(m, dtype=np.int32)
-    if uniform_rows.shape[0] == 0 or uniform_rows.shape[1] <= 1:
-        return m, parent  # size-1 edges connect nothing
-    # each edge joins its first vertex to each of the others
-    u = np.repeat(uniform_rows[:, 0] - 1, uniform_rows.shape[1] - 1)
-    v = (uniform_rows[:, 1:] - 1).ravel()
     while True:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
@@ -136,6 +136,48 @@ def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray
             parent, grand = grand, grand[grand]
     rank = np.cumsum(parent == np.arange(m, dtype=np.int32), dtype=np.int32)
     return int(rank[-1]), rank[parent] - 1
+
+
+def _edge_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's first vertex paired with each of its others."""
+    return np.repeat(rows[:, 0], rows.shape[1] - 1), rows[:, 1:].ravel()
+
+
+# the components are first labelled on about _SAMPLE_EDGES * m edges,
+# once there are at least twice that many
+_SAMPLE_EDGES = 8
+
+
+def _component_labels(m: int, uniform_rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component labels over vertices 1..m, numbered 0, 1, ... in order of
+    first appearance along 1..m; only the ell-uniform edges connect.
+
+    With n >= 2 * _SAMPLE_EDGES * m edges, the components are first
+    hooked on every (n // (_SAMPLE_EDGES * m))-th edge. Every edge is
+    then mapped through those sample labels, and only the edges that
+    still cross two sample components are hooked again, over the
+    contracted vertices: the union's components are the sample's
+    components joined by the crossing edges, so the result is exact
+    however the sample falls. No label moves: each pass numbers by first
+    appearance, and the contracted vertices are in order of their least
+    vertex, so the order of each union component's least vertex is the
+    order of its least contracted vertex. With fewer edges, all of them
+    are hooked at once. int32 holds every vertex id (m + 1 <= the cap).
+    """
+    n, width = uniform_rows.shape
+    if n == 0 or width <= 1:
+        return m, np.arange(m, dtype=np.int32)  # size-1 edges connect nothing
+    stride = n // (_SAMPLE_EDGES * m)
+    if stride < 2:
+        return _hook(m, *_edge_pairs(uniform_rows - 1))
+    k, inner = _hook(m, *_edge_pairs(uniform_rows[::stride] - 1))
+    # label of vertex v at index v, so the rows need no shift
+    contract = np.empty(m + 1, dtype=np.int32)
+    contract[1:] = inner
+    rows = contract[uniform_rows]
+    rows = rows[(rows[:, 1:] != rows[:, :1]).any(axis=1)]
+    k, outer = _hook(k, *_edge_pairs(rows))
+    return k, outer[inner]
 
 
 @dataclass(frozen=True)
@@ -162,49 +204,67 @@ class DiagnosticsReport:
         return d
 
 
+def _double_edges(supports: np.ndarray, base: int) -> int:
+    """Number of distinct supports (rows of vertex ids below ``base``)
+    that occur in two or more rows."""
+    if supports.shape[0] < 2:
+        return 0
+    keys = row_keys(supports.T, base, digits=_identity)
+    if len(keys) == 1:
+        keys = [np.sort(keys[0])]  # the order itself is never read
+    else:
+        order = np.lexsort(keys[::-1])
+        keys = [key[order] for key in keys]
+    repeat = np.ones(supports.shape[0] - 1, dtype=bool)
+    for key in keys:
+        repeat &= key[1:] == key[:-1]
+    # each run of equal supports starts one run of repeats
+    return int(repeat[0]) + int((repeat[1:] & ~repeat[:-1]).sum())
+
+
 def diagnostics(pres: Presentation) -> DiagnosticsReport:
     h = build(pres)
     m, ell = pres.m, pres.ell
-    dist = h.distinct
-
-    t3 = int((dist == ell).sum())
-    t2 = int((dist == ell - 1).sum()) if ell >= 2 else 0
+    types = np.bincount(h.distinct, minlength=ell + 1)
+    t3 = int(types[ell])
+    t2 = int(types[ell - 1]) if ell >= 2 else 0
     t1 = h.n_edges - t3 - t2
 
-    # double edges: any support (of any size) arising from >= 2 relators
-    double_edges = 0
-    for d in np.unique(dist):
-        sup = h.class_supports(int(d))
-        if sup.shape[0] > 1:
-            _, starts = key_runs(row_keys(sup, m + 1, digits=_identity))
-            runs = np.diff(starts, append=sup.shape[0])
-            double_edges += int((runs > 1).sum())
-
+    # each class's supports, taken once: the type-3 rows are their own
     uniform = h.uniform_edge_rows()
+    sup2 = h.class_supports(ell - 1) if t2 else None
+    # double edges: any support (of any size) arising from >= 2 relators
+    double_edges = _double_edges(uniform, m + 1)
+    if sup2 is not None:
+        double_edges += _double_edges(sup2, m + 1)
+    for d in np.flatnonzero(types[:ell - 1]):
+        double_edges += _double_edges(h.class_supports(int(d)), m + 1)
+
     n_comp, labels = _component_labels(m, uniform)
     max_comp = int(np.bincount(labels).max()) if m else 0
 
     # degree in the uniform part only
     degree = np.bincount(uniform.ravel(), minlength=m + 1)[1:]
-
-    nontrivial = np.unique(labels[degree >= 1])
-    deg1_counts = np.bincount(labels[degree == 1], minlength=n_comp)
-    degree1_per_component = tuple(int(deg1_counts[c]) for c in nontrivial)
-    low_exposure = int(sum(1 for c in nontrivial if deg1_counts[c] < 2))
+    nontrivial = np.bincount(labels[degree >= 1], minlength=n_comp) > 0
+    deg1_counts = np.bincount(labels[degree == 1], minlength=n_comp)[nontrivial]
+    degree1_per_component = tuple(deg1_counts.tolist())
+    low_exposure = int((deg1_counts < 2).sum())
 
     # type-2 edge interactions with uniform components
     multi_meet = 0
     meets_two = 0
     matching_violations = 0
-    if ell >= 2 and t2 > 0:
-        sup2 = h.class_supports(ell - 1)
+    if sup2 is not None:
         vert_use = np.bincount(sup2.ravel(), minlength=m + 1)[1:]
         matching_violations = int((vert_use >= 2).sum())
 
-        lab2 = np.sort(labels[sup2 - 1], axis=1)
+        # component of vertex v at index v, so the supports need no shift
+        label_of = np.empty(m + 1, dtype=labels.dtype)
+        label_of[1:] = labels
+        lab2 = np.sort(label_of[sup2], axis=1)
         keep = np.ones(lab2.shape, dtype=bool)
         keep[:, 1:] = lab2[:, 1:] != lab2[:, :-1]
-        multi_meet = len(np.unique(lab2[:, 1:][~keep[:, 1:]]))
+        multi_meet = int((np.bincount(lab2[~keep], minlength=n_comp) > 0).sum())
         # distinct (edge, component) incidences, restricted to components
         # that contain at least one uniform edge
         per_comp = np.bincount(lab2[keep], minlength=n_comp)

@@ -23,8 +23,10 @@ words are split into several columns of that many letters (the last
 one shorter). The lexicographic order of the key columns is then the
 word order of ``words.word_key``. One column suffices whenever
 (2m)^ell < 2^63, e.g. m = 10^4 up to ell = 4 and m = 10^6 up to ell = 3.
-The diagnostics pack supports (sorted generator sets) the same way,
-with base m + 1.
+The samplers draw words as columns of letter codes and pack the keys
+from those; only the kept words become signed int32 rows. The
+diagnostics pack supports (sorted generator sets) the same way, with
+base m + 1.
 
 A presentation file is a header line and one relator per line. Its
 rules are stated once, in ``_parse_line``. The loader takes two steps:
@@ -123,25 +125,30 @@ def _letter_codes(column: np.ndarray) -> np.ndarray:
     return codes
 
 
-def row_keys(matrix: np.ndarray, base: int,
-             digits=_letter_codes) -> list[np.ndarray]:
-    """Packed int64 key columns, most significant first, of a row matrix.
+def _identity(column: np.ndarray) -> np.ndarray:
+    return column
 
-    ``digits`` maps one matrix column to int64 digits in [0, base); the
-    default gives the letter codes of signed words, for base 2m. The
-    lexicographic order of the key columns is the lexicographic order
-    of the rows' digits. Digits of an int32 matrix stay below 2^32, so
-    a larger base is lowered to that.
+
+def row_keys(columns, base: int, digits=_letter_codes) -> list[np.ndarray]:
+    """Packed int64 key columns, most significant first, of rows given as
+    a sequence of columns (``matrix.T`` for a row matrix).
+
+    ``digits`` maps one column to int64 digits in [0, base), one column
+    at a time; the default gives the letter codes of signed words, for
+    base 2m, and ``_identity`` takes columns that already hold digits.
+    The lexicographic order of the key columns is the lexicographic
+    order of the rows' digits. Digits of int32 columns stay below 2^32,
+    so a larger base is lowered to that.
     """
     base = min(base, 2**32)
-    k, width = matrix.shape
+    width = len(columns)
     per = _letters_per_key(base)
     keys = []
     for lo in range(0, width, per):
-        key = np.zeros(k, dtype=np.int64)
+        key = np.zeros(len(columns[lo]), dtype=np.int64)
         for j in range(lo, min(lo + per, width)):
             key *= base
-            key += digits(matrix[:, j])
+            key += digits(columns[j])
         keys.append(key)
     return keys
 
@@ -161,7 +168,7 @@ def _sorted_distinct_rows(matrix: np.ndarray, m: int) -> np.ndarray:
     """Distinct rows of words over m generators, in the word order."""
     if matrix.shape[0] <= 1:
         return matrix
-    order, starts = key_runs(row_keys(matrix, 2 * m))
+    order, starts = key_runs(row_keys(matrix.T, 2 * m))
     return matrix[order[starts]]
 
 
@@ -280,44 +287,40 @@ def p_to_density(m: int, ell: int, p: float) -> float:
 # uniform sampling of cyclically reduced words
 
 
-def sample_uniform_word(m: int, ell: int, rng: np.random.Generator) -> Word:
-    """One word uniform over all cyclically reduced words of length ell.
+def _uniform_code_columns(m: int, ell: int, size: int,
+                          rng: np.random.Generator) -> list[np.ndarray]:
+    """Letter-code columns of `size` i.i.d. uniform cyclically reduced words.
 
-    Builds a uniform reduced word (first letter free, each next letter
-    uniform over the 2m-1 non-cancelling choices) and rejects until the
-    wrap-around constraint holds; acceptance is at least 1/2, so the
-    expected number of attempts is at most 2.
-
-    Each attempt makes one draw x uniform on [0, span), where
-    span = 2m * (2m-1)^(ell-1) counts the reduced words, and reads x in
-    mixed radix: the lowest digit, base 2m, is the first letter code and
-    each further digit, base 2m-1, is the next letter's rank among the
-    non-cancelling choices. The digits of a uniform x over a product of
-    radices are independent and uniform, so this is exactly the
-    letter-by-letter construction. When span exceeds 2^63 - 1 it cannot
-    be drawn as one int64, and each letter is drawn separately instead.
+    Each batch draws a uniform reduced word column by column (first
+    letter free, each next one uniform over the 2m-1 non-cancelling
+    choices) and keeps the words whose last letter does not cancel the
+    first; acceptance is at least 1/2.
     """
-    if m < 1 or ell < 1:
-        raise DomainError("need m >= 1 and ell >= 1")
-    first, rest = 2 * m, 2 * m - 1
-    span = first * rest ** (ell - 1)
-    while True:
-        if span <= _INT64_MAX:
-            x, c = divmod(int(rng.integers(0, span)), first)
-            codes = [c]
-            for _ in range(ell - 1):
-                x, r = divmod(x, rest)
-                codes.append(r if r < codes[-1] ^ 1 else r + 1)
-        else:
-            codes = [int(rng.integers(0, first))]
-            for _ in range(ell - 1):
-                r = int(rng.integers(0, rest))
-                codes.append(r if r < codes[-1] ^ 1 else r + 1)
-        if ell == 1 or codes[-1] != codes[0] ^ 1:
-            signed = tuple(
-                (c >> 1) + 1 if c & 1 == 0 else -((c >> 1) + 1) for c in codes
-            )
-            return signed
+    blocks = []
+    got = 0
+    while got < size:
+        batch = int((size - got) * 1.1) + 16
+        cols = [rng.integers(0, 2 * m, size=batch)]
+        for _ in range(1, ell):
+            r = rng.integers(0, 2 * m - 1, size=batch)
+            r += r >= (cols[-1] ^ 1)
+            cols.append(r)
+        if ell > 1:
+            keep = cols[-1] != (cols[0] ^ 1)
+            cols = [col[keep] for col in cols]
+        blocks.append(cols)
+        got += len(cols[0])
+    return [np.concatenate(parts)[:size] if len(parts) > 1 else parts[0][:size]
+            for parts in zip(*blocks)]
+
+
+def _positive_code_columns(m: int, ell: int, size: int,
+                           rng: np.random.Generator) -> list[np.ndarray]:
+    """Letter-code columns of `size` i.i.d. uniform positive words."""
+    words = rng.integers(1, m + 1, size=(size, ell), dtype=np.int64)
+    words -= 1
+    words *= 2
+    return list(words.T)
 
 
 def sample_uniform_words_matrix(m: int, ell: int, size: int,
@@ -331,30 +334,8 @@ def sample_uniform_words_matrix(m: int, ell: int, size: int,
         raise DomainError("need m >= 1 and ell >= 1")
     if size == 0:
         return np.empty((0, ell), dtype=np.int32)
-    out_blocks = []
-    got = 0
-    # acceptance rate = |cyclically reduced| / |reduced| >= 1/2
-    while got < size:
-        need = size - got
-        batch = int(need * 1.1) + 16
-        codes = np.empty((batch, ell), dtype=np.int64)
-        codes[:, 0] = rng.integers(0, 2 * m, size=batch)
-        for j in range(1, ell):
-            r = rng.integers(0, 2 * m - 1, size=batch)
-            forbidden = codes[:, j - 1] ^ 1
-            codes[:, j] = r + (r >= forbidden)
-        if ell > 1:
-            keep = codes[:, -1] != (codes[:, 0] ^ 1)
-            codes = codes[keep]
-        out_blocks.append(_codes_to_signed(codes))
-        got += codes.shape[0]
-    out = np.concatenate(out_blocks, axis=0)
-    return out[:size]
-
-
-def _sample_positive_words_matrix(m: int, ell: int, size: int,
-                                  rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(1, m + 1, size=(size, ell), dtype=np.int64).astype(np.int32)
+    return _codes_to_signed(np.stack(_uniform_code_columns(m, ell, size, rng),
+                                     axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +393,30 @@ def _sample_distinct(m: int, ell: int, k: int, positive: bool,
         universe = _enumerate_universe_matrix(m, ell, positive)
         idx = rng.choice(n_universe, size=k, replace=False)
         return universe[np.sort(idx)]
-    draw = (_sample_positive_words_matrix if positive
-            else sample_uniform_words_matrix)
-    rows = np.empty((0, ell), dtype=np.int32)
+    draw = _positive_code_columns if positive else _uniform_code_columns
+    # the draws stay letter-code columns; only the k kept words are signed
+    cols: list[np.ndarray] = []
     need = k
     while True:
-        batch = draw(m, ell, int(need * 1.05) + 16, rng)
-        rows = np.concatenate([rows, batch], axis=0)
-        order, starts = key_runs(row_keys(rows, 2 * m))
+        more = draw(m, ell, int(need * 1.05) + 16, rng)
+        cols = ([np.concatenate([col, new]) for col, new in zip(cols, more)]
+                if cols else more)
+        order, starts = key_runs(row_keys(cols, 2 * m, digits=_identity))
         # the earliest draw of each distinct word, in word order (the
         # sort need not be stable)
         first = np.minimum.reduceat(order, starts)
         if len(first) >= k:
             break
-        rows = rows[np.sort(first)]
+        kept = np.sort(first)
+        cols = [col[kept] for col in cols]
         need = k - len(first)
     # keep the first k distinct words drawn, still in word order
     last = np.partition(first, k - 1)[k - 1]
-    return rows[first[first <= last]]
+    kept = first[first <= last]
+    out = np.empty((k, ell), dtype=np.int32)
+    for j, col in enumerate(cols):
+        out[:, j] = _codes_to_signed(col[kept])
+    return out
 
 
 def _sample_bernoulli(params: ModelParams, positive: bool) -> Presentation:

@@ -48,11 +48,6 @@ def validate_word(word: Word, m: int | None = None) -> None:
             raise ValueError(f"letter {x} outside generator range 1..{m}")
 
 
-def inverse_word(word: Word) -> Word:
-    """The formal inverse: reversed word with every letter negated."""
-    return tuple(-x for x in reversed(word))
-
-
 def is_reduced(word: Word) -> bool:
     """True when no adjacent pair of letters cancels."""
     if len(word) == 0:
@@ -125,16 +120,3 @@ def enumerate_cyclically_reduced(
 def word_to_text(word: Word) -> str:
     """Space-separated signed integers, the on-disk relator format."""
     return " ".join(str(x) for x in word)
-
-
-def word_from_text(text: str) -> Word:
-    """Parse the space-separated signed integer form; validates letters."""
-    parts = text.split()
-    if not parts:
-        raise EmptyWordError("empty word text")
-    try:
-        word = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"malformed word text {text!r}") from exc
-    validate_word(word)
-    return word

@@ -7,7 +7,8 @@ split condition screened over all 2^m splits at once,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports, components by union-find, the canonical relator
-class, the rank mod p of a whole dense integer matrix, the
+class, a word's inverse and text form, one uniform cyclically reduced
+word drawn at a time, the rank mod p of a whole dense integer matrix, the
 determinant by fraction-free elimination, and the presentation file
 and ``certify-free`` JSON as they were first written, a Python format
 per letter and ``json.dumps`` of Python lists.
@@ -24,8 +25,9 @@ from typing import IO, Iterable, Optional, Union
 import numpy as np
 
 from randgroup._modrank import PRIME_A, _eliminate
-from randgroup.errors import (BudgetExceededError, EmptyWordError,
-                              LengthMismatchError, NotCyclicallyReducedError)
+from randgroup.errors import (BudgetExceededError, DomainError,
+                              EmptyWordError, LengthMismatchError,
+                              NotCyclicallyReducedError)
 from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
                                        SL_MAX_M, VERDICT_FA, VERDICT_FREE,
                                        VERDICT_SPLITS, VERDICT_UNKNOWN,
@@ -36,7 +38,7 @@ from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
 from randgroup.hypergraph import SupportHypergraph, _component_labels, build
 from randgroup.model import Presentation
-from randgroup.words import (Word, inverse_word, is_cyclically_reduced,
+from randgroup.words import (Word, is_cyclically_reduced, validate_word,
                              word_key)
 
 
@@ -341,6 +343,64 @@ def components(h: SupportHypergraph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------- words
+
+def inverse_word(word: Word) -> Word:
+    """The formal inverse: reversed word with every letter negated."""
+    return tuple(-x for x in reversed(word))
+
+
+def word_from_text(text: str) -> Word:
+    """Parse the space-separated signed integer form; validates letters."""
+    parts = text.split()
+    if not parts:
+        raise EmptyWordError("empty word text")
+    try:
+        word = tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise ValueError(f"malformed word text {text!r}") from exc
+    validate_word(word)
+    return word
+
+
+def sample_uniform_word(m: int, ell: int, rng: np.random.Generator) -> Word:
+    """One word uniform over all cyclically reduced words of length ell.
+
+    Builds a uniform reduced word (first letter free, each next letter
+    uniform over the 2m-1 non-cancelling choices) and rejects until the
+    wrap-around constraint holds; acceptance is at least 1/2, so the
+    expected number of attempts is at most 2.
+
+    Each attempt makes one draw x uniform on [0, span), where
+    span = 2m * (2m-1)^(ell-1) counts the reduced words, and reads x in
+    mixed radix: the lowest digit, base 2m, is the first letter code and
+    each further digit, base 2m-1, is the next letter's rank among the
+    non-cancelling choices. The digits of a uniform x over a product of
+    radices are independent and uniform, so this is exactly the
+    letter-by-letter construction. When span exceeds 2^63 - 1 it cannot
+    be drawn as one int64, and each letter is drawn separately instead.
+    """
+    if m < 1 or ell < 1:
+        raise DomainError("need m >= 1 and ell >= 1")
+    first, rest = 2 * m, 2 * m - 1
+    span = first * rest ** (ell - 1)
+    while True:
+        if span <= 2**63 - 1:
+            x, c = divmod(int(rng.integers(0, span)), first)
+            codes = [c]
+            for _ in range(ell - 1):
+                x, r = divmod(x, rest)
+                codes.append(r if r < codes[-1] ^ 1 else r + 1)
+        else:
+            codes = [int(rng.integers(0, first))]
+            for _ in range(ell - 1):
+                r = int(rng.integers(0, rest))
+                codes.append(r if r < codes[-1] ^ 1 else r + 1)
+        if ell == 1 or codes[-1] != codes[0] ^ 1:
+            signed = tuple(
+                (c >> 1) + 1 if c & 1 == 0 else -((c >> 1) + 1) for c in codes
+            )
+            return signed
+
 
 def rotations(word: Word) -> list[Word]:
     return [word[i:] + word[:i] for i in range(len(word))]

@@ -24,9 +24,10 @@ from randgroup.fa_certificates import (check_L_exact, check_SL_exact,
 from randgroup.freeness import certify_free, EliminationCertificate, \
     replay_certificate
 from randgroup.hypergraph import verify_edge_lower_bound
-from randgroup.model import (ModelParams, make_presentation, make_rng,
-                             sample, sample_uniform_word)
+from randgroup.model import ModelParams, make_presentation, make_rng, sample
 from randgroup.words import count_cyclically_reduced
+
+from oracles import sample_uniform_word
 
 EPS_DEFAULT = Fraction(1, 100)
 

@@ -242,6 +242,19 @@ def test_package_runs_without_scipy(tmp_path):
     assert json.loads(loaded) == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a sweep needs the pool modules, and each cold start would
+    # compile them
+    code = ("import json, sys, randgroup.cli\n"
+            "print(json.dumps([name for name in sys.modules if name in "
+            "('multiprocessing', 'concurrent.futures')]))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "sample", "-m", "2", "-l", "3")[0] == 2

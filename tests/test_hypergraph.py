@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from randgroup.abelianization import _exponent_entries
 from randgroup.errors import DomainError, LengthMismatchError
 from randgroup.fa_certificates import unused_generators
-from randgroup.hypergraph import (_component_labels, build, diagnostics,
-                                  verify_edge_lower_bound)
+from randgroup.hypergraph import (_SAMPLE_EDGES, _component_labels, build,
+                                  diagnostics, verify_edge_lower_bound)
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
 from randgroup.words import letter_key
@@ -124,6 +124,43 @@ def forest_of_paths(rng, n):
     return n, edge_rows(perm[links], perm[links + 1])
 
 
+def random_edges(rng, vertices, n, ell):
+    """n uniform sets of ell distinct vertices from ``vertices``, as sorted rows."""
+    rows = np.empty((0, ell), dtype=np.int64)
+    while len(rows) < n:
+        draw = np.sort(rng.choice(vertices, size=(2 * n, ell)), axis=1)
+        rows = np.concatenate([rows, draw[(np.diff(draw, axis=1) > 0).all(axis=1)]])
+    return rows[:n]
+
+
+def dense_blocks(rng, blocks, n, ell):
+    """n edges, each inside one of the vertex arrays ``blocks`` (drawn in
+    proportion to size), in shuffled order."""
+    sizes = np.array([len(b) for b in blocks])
+    share = rng.multinomial(n, sizes / sizes.sum())
+    rows = np.concatenate([random_edges(rng, b, k, ell)
+                           for b, k in zip(blocks, share)])
+    return rows[rng.permutation(n)]
+
+
+def two_dense_blocks(rng, m=600):
+    # 100 vertices are isolated
+    perm = rng.permutation(m) + 1
+    rows = dense_blocks(rng, [perm[:250], perm[250:500]], 10_000, 4)
+    return m, edge_rows(*rows.T)
+
+
+def bridges_off_stride(rng, m=400):
+    # three dense blocks joined only by two edges at odd rows, which the
+    # sample of every second row leaves out; 10 vertices are isolated
+    perm = rng.permutation(m) + 1
+    blocks = perm[:130], perm[130:260], perm[260:390]
+    rows = dense_blocks(rng, blocks, 2 * _SAMPLE_EDGES * m, 3)
+    rows[1] = blocks[0][0], blocks[0][1], blocks[1][0]
+    rows[3] = blocks[1][1], blocks[2][0], blocks[2][1]
+    return m, edge_rows(*rows.T)
+
+
 COMPONENT_SHAPES = {
     "shuffled_path": lambda rng: shuffled_path(rng, 10_000),
     "shuffled_hyperpath": lambda rng: shuffled_hyperpath(rng, 10_001),
@@ -133,6 +170,11 @@ COMPONENT_SHAPES = {
     "no_uniform_edges": lambda rng: (50, np.empty((0, 3), dtype=np.int32)),
     "m_1": lambda rng: (1, np.ones((1, 1), dtype=np.int32)),
     "m_1_no_edges": lambda rng: (1, np.empty((0, 2), dtype=np.int32)),
+    # at least 2 * _SAMPLE_EDGES * m edges: labelled on a sample first
+    "dense_random": lambda rng: (500, edge_rows(
+        *random_edges(rng, np.arange(1, 501), 10_000, 4).T)),
+    "two_dense_blocks": two_dense_blocks,
+    "bridges_off_stride": bridges_off_stride,
 }
 
 
@@ -142,6 +184,47 @@ def test_component_labels_match_union_find(shape, seed):
     m, rows = COMPONENT_SHAPES[shape](np.random.default_rng(seed))
     n, labels = _component_labels(m, rows)
     assert labels.shape == (m,)
+    assert (n, labels.tolist()) == reference_component_labels(m, rows)
+
+
+def test_sample_leaves_bridges_split():
+    # the sample's labels see three blocks; only the contraction joins them
+    m, rows = bridges_off_stride(np.random.default_rng(0))
+    stride = len(rows) // (_SAMPLE_EDGES * m)
+    assert stride == 2
+    n_sample, _ = reference_component_labels(m, rows[::stride])
+    assert (n_sample, _component_labels(m, rows)[0]) == (13, 11)
+
+
+@st.composite
+def sampled_component_graphs(draw):
+    """At least 2 * _SAMPLE_EDGES * m uniform edges inside random blocks,
+    some vertices isolated, and a few edges at rows off the sample's
+    stride, which may join blocks that the sample leaves apart."""
+    ell = draw(st.integers(2, 4))
+    m = draw(st.integers(ell, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # block n_blocks holds the isolated vertices; block 0 has >= ell
+    n_blocks = draw(st.integers(1, 4))
+    block = rng.integers(0, n_blocks + 1, size=m)
+    block[rng.permutation(m)[:ell]] = 0
+    blocks = [np.flatnonzero(block == b) + 1 for b in range(n_blocks)]
+    blocks = [b for b in blocks if len(b) >= ell]
+    n = 2 * _SAMPLE_EDGES * m + draw(st.integers(0, 20 * m))
+    rows = dense_blocks(rng, blocks, n, ell)
+    stride = n // (_SAMPLE_EDGES * m)
+    off = np.flatnonzero(np.arange(n) % stride)
+    for i in rng.choice(off, size=draw(st.integers(0, 3)), replace=False):
+        rows[i] = np.sort(rng.choice(m, size=ell, replace=False) + 1)
+    return m, edge_rows(*rows.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_component_graphs())
+def test_sampled_component_labels_match_union_find(graph):
+    m, rows = graph
+    assert len(rows) >= 2 * _SAMPLE_EDGES * m
+    n, labels = _component_labels(m, rows)
     assert (n, labels.tolist()) == reference_component_labels(m, rows)
 
 
@@ -337,6 +420,8 @@ GOLDEN_DIAGNOSTICS = [
     ("binomial", 300, 3, 2e-5, 7, 5, "a4b9baca0d696b01"),
     ("binomial", 2000, 4, 2e-10, 8, 0, "5c4a700194449c8d"),
     ("manual", 10**4, 5, None, None, 80, "62fdb177268a3416"),
+    # 19178 type-3 edges at m=300: components labelled on a sample first
+    ("binomial", 300, 4, 1.5e-7, 9, 2, "7a78bb4d2e3fde0e"),
 ]
 
 

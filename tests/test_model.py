@@ -29,14 +29,13 @@ from randgroup.model import (
     sample_binomial,
     sample_positive,
     sample_uniform_count,
-    sample_uniform_word,
     sample_uniform_words_matrix,
     save_presentation,
     uniform_count_size,
     universe_size,
     _sample_distinct,
 )
-from oracles import reference_save_presentation
+from oracles import reference_save_presentation, sample_uniform_word
 from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,

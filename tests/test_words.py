@@ -16,17 +16,15 @@ from randgroup.errors import (
 from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
-    inverse_word,
     is_cyclically_reduced,
     is_reduced,
     iter_cyclically_reduced,
     letter_key,
-    word_from_text,
     word_key,
     word_to_text,
 )
 
-from oracles import canonical_class
+from oracles import canonical_class, inverse_word, word_from_text
 
 
 # Independent oracle: enumerate by filtering the full cartesian product.
