@@ -81,7 +81,10 @@ class SupportHypergraph:
     @cached_property
     def distinct(self) -> np.ndarray:
         """Number of distinct generators per relator."""
-        out = self.run_starts.sum(axis=1)
+        # ell column adds beat a row-wise reduce over ell booleans
+        out = self.run_starts[:, 0].astype(np.intp)
+        for j in range(1, self.ell):
+            out += self.run_starts[:, j]
         out.setflags(write=False)
         return out
 

@@ -30,15 +30,16 @@ base m + 1.
 
 A presentation file is a header line and one relator per line. Its
 rules are stated once, in ``_parse_line``. The loader takes two steps:
-numpy's parser reads a well-formed body into an int32 array, which is
-checked as a whole; any body that numpy rejects or that fails a check
-goes through ``_parse_line`` line by line, so the result, or the error
-of the first bad line, is always the one the line rules give.
+a body in exactly the layout ``save_presentation`` writes is read in
+one ``np.fromstring`` pass, which a check of the token widths confirms,
+and its rows are checked as a whole; any other body, and any body that
+fails a check, goes through ``_parse_line`` line by line, so the
+result, or the error of the first bad line, is always the one the line
+rules give.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,11 +165,25 @@ def key_runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
+def _strictly_ascending(keys: list[np.ndarray]) -> bool:
+    """Whether each row's key columns come after the previous row's."""
+    later = np.zeros(len(keys[0]) - 1, dtype=bool)
+    tie = np.ones(len(later), dtype=bool)
+    for key in keys:
+        later |= tie & (key[1:] > key[:-1])
+        tie &= key[1:] == key[:-1]
+    return bool(later.all())
+
+
 def _sorted_distinct_rows(matrix: np.ndarray, m: int) -> np.ndarray:
-    """Distinct rows of words over m generators, in the word order."""
+    """Distinct rows of words over m generators, in the word order; the
+    matrix itself when its rows already are."""
     if matrix.shape[0] <= 1:
         return matrix
-    order, starts = key_runs(row_keys(matrix.T, 2 * m))
+    keys = row_keys(matrix.T, 2 * m)
+    if _strictly_ascending(keys):
+        return matrix
+    order, starts = key_runs(keys)
     return matrix[order[starts]]
 
 
@@ -323,21 +338,6 @@ def _positive_code_columns(m: int, ell: int, size: int,
     return list(words.T)
 
 
-def sample_uniform_words_matrix(m: int, ell: int, size: int,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of i.i.d. uniform cyclically reduced words.
-
-    Returns a (size, ell) int32 matrix of signed letters; rows are
-    independent draws (duplicates possible).
-    """
-    if m < 1 or ell < 1:
-        raise DomainError("need m >= 1 and ell >= 1")
-    if size == 0:
-        return np.empty((0, ell), dtype=np.int32)
-    return _codes_to_signed(np.stack(_uniform_code_columns(m, ell, size, rng),
-                                     axis=1))
-
-
 # ---------------------------------------------------------------------------
 # model samplers
 
@@ -487,7 +487,10 @@ def sample(model_tag: str, params: ModelParams) -> Presentation:
 #
 # line 1:  m ell model_tag param seed
 # then one relator per line as whitespace-separated signed integers; a
-# token is anything int() reads, and the first bad line is reported
+# token is anything int() reads, and the first bad line is reported.
+# save_presentation writes each letter as str(letter), one space between
+# letters and a newline after each row; only a body in that layout is
+# read in one pass
 
 
 # rows written per text block
@@ -598,34 +601,83 @@ def _parse_line(line: str, lineno: int, m: int, ell: int, tag: str) -> Word | No
     return w
 
 
+def _read_saved_body(body: str, m: int, ell: int, tag: str) -> np.ndarray | None:
+    """The relator matrix of a body in save_presentation's layout whose
+    rows pass every check, read in one pass; None for any other body.
+
+    numpy reads the whitespace-separated tokens as int64 (as int32 it
+    would wrap 5294967296 to 1000000000, a token of the same width).
+    numpy needs at least one whitespace byte after each token but the
+    last, and no token it reads is shorter than str(v) of its value v:
+    a sign, a leading zero or a space after the sign only add bytes. So
+    when len(body) is the sum of len(str(v)) + 1 and the body's last
+    byte is the last row's newline, each token is len(str(v)) bytes and
+    each separator one byte, at the places the widths give. A token of
+    that width that is not str(v) is past int64 and saturates, so it
+    fails the range check. Then a newline at each row's end and a space
+    between letters make the body the writer's layout, whose lines are
+    the rows that _parse_line would read.
+    """
+    try:
+        data = body.encode("ascii")
+        with warnings.catch_warnings():
+            # older numpy (1.24 at least) warns on unmatched data where
+            # newer numpy raises
+            warnings.simplefilter("error", DeprecationWarning)
+            letters = np.fromstring(data, dtype=np.int64, sep=" ")
+    except (UnicodeEncodeError, ValueError, DeprecationWarning):
+        return None
+    if not len(letters) or len(letters) % ell:
+        return None
+    top = min(m, _INT32_MAX)
+    if (letters.min() < (1 if tag == "positive" else -top)
+            or letters.max() > top or not letters.all()):
+        return None
+    letters = letters.astype(np.int32)
+    inverses = np.negative(letters)
+    # a pair that cancels within a row, or across a row's two ends
+    hits = np.flatnonzero(letters[1:] == inverses[:-1])
+    if ((hits % ell != ell - 1).any()
+            or (letters[ell - 1::ell] == inverses[::ell]).any()):
+        return None
+    # len(str(v)) + 1 per letter: sign, first digit, separator, and one
+    # more byte at each power of ten that |v| reaches
+    widths = (letters < 0).view(np.int8) + np.int8(2)
+    # |v| in the negations' buffer, so the pass holds no more arrays
+    size = np.maximum(letters, inverses, out=inverses)
+    for k in range(1, len(str(top))):
+        widths += size >= 10**k
+    widths = widths.reshape(-1, ell)
+    row_ends = widths[:, 0].astype(np.int64)
+    for j in range(1, ell):
+        row_ends += widths[:, j]
+    np.cumsum(row_ends, out=row_ends)
+    row_ends -= 1
+    text = np.frombuffer(data, dtype=np.uint8)
+    if row_ends[-1] != len(text) - 1 or not (text[row_ends] == 10).all():
+        return None
+    # then each separator within a row must be one space
+    seps = row_ends.copy()
+    for j in range(ell - 1, 0, -1):
+        seps -= widths[:, j]
+        if not (text[seps] == 32).all():
+            return None
+    return letters.reshape(-1, ell)
+
+
 def _parse_body(body: str, m: int, ell: int, tag: str) -> np.ndarray:
     """The relator matrix of a file body (the lines after the header).
 
-    numpy reads a body of ell int32 tokens per non-blank line, and non-
-    ASCII characters reach it as "?". Any body it rejects, or whose rows
-    fail a check, is parsed by _parse_line, which raises the first bad
-    line's error or loads tokens such as "1_0" that numpy does not read.
+    A body in save_presentation's layout is read by _read_saved_body.
+    Any other body, or one whose rows fail a check, is parsed by
+    _parse_line, which raises the first bad line's error or loads the
+    tokens and separators that the layout does not use.
     """
     if not body.strip():
         return np.empty((0, ell), dtype=np.int32)
-    try:
-        with warnings.catch_warnings():
-            # older numpy reads "2.0" as an int with only a warning
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.BytesIO(body.encode("ascii", "replace")),
-                              dtype=np.int32, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        rows = None
-    if rows is not None and rows.shape[1] == ell:
-        # -2^31 is its own negation, so the range test avoids np.abs
-        top = min(m, _INT32_MAX)
-        fault = ((rows == 0) | (rows > top) | (rows < -top)).any(axis=1)
-        fault |= (rows[:, 1:] == -rows[:, :-1]).any(axis=1)
-        fault |= rows[:, -1] == -rows[:, 0]
-        if tag == "positive":
-            fault |= (rows < 0).any(axis=1)
-        if not fault.any():
-            return rows
+    rows = _read_saved_body(body, m, ell, tag)
+    if rows is not None:
+        return rows
     words = [w for i, line in enumerate(body.split("\n"))
              if (w := _parse_line(line, i + 2, m, ell, tag)) is not None]
     return np.array(words, dtype=np.int32).reshape(-1, ell)

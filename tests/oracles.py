@@ -37,7 +37,8 @@ from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
 from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
 from randgroup.hypergraph import SupportHypergraph, _component_labels, build
-from randgroup.model import Presentation
+from randgroup.model import (Presentation, _codes_to_signed,
+                             _uniform_code_columns)
 from randgroup.words import (Word, is_cyclically_reduced, validate_word,
                              word_key)
 
@@ -400,6 +401,22 @@ def sample_uniform_word(m: int, ell: int, rng: np.random.Generator) -> Word:
                 (c >> 1) + 1 if c & 1 == 0 else -((c >> 1) + 1) for c in codes
             )
             return signed
+
+
+def sample_uniform_words_matrix(m: int, ell: int, size: int,
+                                rng: np.random.Generator) -> np.ndarray:
+    """Vectorized batch of i.i.d. uniform cyclically reduced words, the
+    samplers' own letter-code draw turned into signed letters.
+
+    Returns a (size, ell) int32 matrix of signed letters; rows are
+    independent draws (duplicates possible).
+    """
+    if m < 1 or ell < 1:
+        raise DomainError("need m >= 1 and ell >= 1")
+    if size == 0:
+        return np.empty((0, ell), dtype=np.int32)
+    return _codes_to_signed(np.stack(_uniform_code_columns(m, ell, size, rng),
+                                     axis=1))
 
 
 def rotations(word: Word) -> list[Word]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 import warnings
 
 import numpy as np
@@ -29,13 +30,13 @@ from randgroup.model import (
     sample_binomial,
     sample_positive,
     sample_uniform_count,
-    sample_uniform_words_matrix,
     save_presentation,
     uniform_count_size,
     universe_size,
     _sample_distinct,
 )
-from oracles import reference_save_presentation, sample_uniform_word
+from oracles import (reference_save_presentation, sample_uniform_word,
+                     sample_uniform_words_matrix)
 from randgroup.words import (
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
@@ -248,6 +249,10 @@ def test_saved_file_matches_the_format_per_letter(tag, m, ell, param, seed):
     assert _saved(pres) == _saved(pres, reference_save_presentation)
 
 
+def _no_line_parse(*args):
+    raise AssertionError("a saved file went through _parse_line")
+
+
 def _first_words(k, scale):
     # the first k words over 20 generators, each generator g renamed
     # g * scale, so the letters reach +-20 * scale
@@ -258,12 +263,16 @@ def _first_words(k, scale):
 
 @pytest.mark.parametrize("k", [0, 1, model._SAVE_BLOCK, model._SAVE_BLOCK + 1])
 @pytest.mark.parametrize("scale", [1, 50_000])
-def test_saved_file_block_edges(k, scale):
+def test_saved_file_block_edges(k, scale, monkeypatch):
     pres = _first_words(k, scale)
     assert len(pres) == k
     if k > 1:
         assert _builds_table(pres) == (scale == 1)
-    assert _saved(pres) == _saved(pres, reference_save_presentation)
+    text = _saved(pres)
+    assert text == _saved(pres, reference_save_presentation)
+    # a saved file is read in one pass, never line by line
+    monkeypatch.setattr(model, "_parse_line", _no_line_parse)
+    assert load_presentation(io.StringIO(text)) == pres
 
 
 @pytest.mark.parametrize("pres, table", [
@@ -276,10 +285,11 @@ def test_saved_file_block_edges(k, scale):
     (make_presentation(2**31 - 1, 2, [(2**31 - 1, 2**31 - 1),
                                       (1 - 2**31, -5), (9, 10)]), False),
 ])
-def test_saved_file_letters_near_m(pres, table):
+def test_saved_file_letters_near_m(pres, table, monkeypatch):
     assert _builds_table(pres) == table
     text = _saved(pres)
     assert text == _saved(pres, reference_save_presentation)
+    monkeypatch.setattr(model, "_parse_line", _no_line_parse)
     assert load_presentation(io.StringIO(text)) == pres
 
 
@@ -321,6 +331,15 @@ LOADER_FAULTS = [
      "letter out of range in (1, -2147483648, 1)"),
     ("2 3 binomial 0.5 7\n1 2147483648 1\n", 2,
      "letter out of range in (1, 2147483648, 1)"),
+    # bodies in the saved layout: an int32 read would wrap 5294967296 to
+    # 1000000000, a token of the same width, and an int64 read saturates
+    # the tokens past int64
+    ("2147483647 2 binomial 0.5 7\n5294967296 1\n", 2,
+     "letter out of range in (5294967296, 1)"),
+    ("2 3 binomial 0.5 7\n1 9223372036854775808 2\n", 2,
+     "letter out of range in (1, 9223372036854775808, 2)"),
+    ("2 3 binomial 0.5 7\n1 -9223372036854775809 2\n", 2,
+     "letter out of range in (1, -9223372036854775809, 2)"),
     ("2 3 binomial 0.5 7\n1 -1 2\n", 2,
      "relator (1, -1, 2) is not cyclically reduced"),
     ("2 3 binomial 0.5 7\n1 2 -1\n", 2,
@@ -408,11 +427,7 @@ def _bodies(draw):
     return ell, "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=_bodies(), tag=st.sampled_from(["binomial", "positive"]))
-def test_loader_matches_line_by_line_parse(case, tag):
-    ell, body = case
-    m = 2
+def _assert_loads_as_line_by_line(body, m, ell, tag):
     try:
         words = [w for i, line in enumerate(body.split("\n"))
                  if (w := model._parse_line(line, i + 2, m, ell, tag)) is not None]
@@ -430,6 +445,48 @@ def test_loader_matches_line_by_line_parse(case, tag):
     else:
         assert isinstance(got, np.ndarray)
         assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bodies(), tag=st.sampled_from(["binomial", "positive"]))
+def test_loader_matches_line_by_line_parse(case, tag):
+    ell, body = case
+    _assert_loads_as_line_by_line(body, 2, ell, tag)
+
+
+# other spellings of a value: the same value, or one past int32 that an
+# int32 read would wrap into range
+_RESPELLINGS = ["+1", "01", "-0", "2147483648", "4294967297"]
+
+
+@st.composite
+def _saved_bodies(draw):
+    # rows in any order, with duplicates, letters 0 and +-11 out of range
+    # and cancelling pairs, as save_presentation would write them; then
+    # at most one token respelled, or one separator doubled or swapped
+    # for the other (a newline within a row splits it into two lines)
+    ell = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-11, 11), min_size=ell,
+                                  max_size=ell), min_size=1, max_size=12))
+    text = "".join(model.rows_text(np.array(rows, dtype=np.int32),
+                                   (" ",) * (ell - 1) + ("\n",)))
+    items = re.split(r"([ \n])", text)  # token, separator, ..., ""
+    edit = draw(st.sampled_from(["none", "token", "doubled", "swapped"]))
+    i = 2 * draw(st.integers(0, len(rows) * ell - 1))
+    if edit == "token":
+        items[i] = draw(st.sampled_from(_RESPELLINGS))
+    elif edit == "doubled":
+        items[i + 1] *= 2
+    elif edit == "swapped":
+        items[i + 1] = " " if items[i + 1] == "\n" else "\n"
+    return ell, "".join(items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_saved_bodies(), tag=st.sampled_from(["binomial", "positive"]))
+def test_saved_layout_loader_matches_line_by_line_parse(case, tag):
+    ell, body = case
+    _assert_loads_as_line_by_line(body, 10, ell, tag)
 
 
 def test_make_presentation_validation():
