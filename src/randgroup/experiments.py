@@ -34,7 +34,7 @@ from .errors import (BudgetExceededError, DomainError, NoCrossingError,
                      NonMonotoneTrendError)
 from .fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET, SL_MAX_M,
                               VERDICT_FA, VERDICT_FREE, VERDICT_SPLITS,
-                              VERDICT_UNKNOWN, FAReport, LWitness, SLWitness,
+                              VERDICT_UNKNOWN, LWitness, SLWitness,
                               _as_eps, check_L_exact, check_SL_exact,
                               unused_generators)
 from .freeness import EliminationCertificate, StuckReport, certify_free
@@ -76,8 +76,9 @@ def _holds(result) -> Optional[bool]:
 
 @dataclass(frozen=True)
 class Decision:
-    """What decided a verdict. A search result is "holds", a witness,
-    or None when the search did not run or raised."""
+    """What decided a verdict, at the epsilon the searches ran at. A
+    search result is "holds", a witness, or None when the search did
+    not run or raised."""
     certificate: Union[EliminationCertificate, StuckReport]
     unused: np.ndarray
     l_result: Union[str, LWitness, None]
@@ -85,23 +86,29 @@ class Decision:
     verdict: str
     skipped: tuple[str, ...]
     budget_errors: tuple[str, ...]
+    eps: Fraction
 
-    def fa_report(self, eps=DEFAULT_EPSILON) -> FAReport:
-        """The check-fa report; a skipped or aborted search blanks both."""
-        eps = Fraction(eps)
+    def fa_fields(self) -> dict:
+        """check-fa's JSON object, with a free verdict's certificate as
+        an object; a skipped or aborted search blanks both searches."""
         exceeded = bool(self.skipped or self.budget_errors)
         l_res = None if exceeded else self.l_result
         sl_res = None if exceeded else self.sl_result
         cert = self.certificate if self.verdict == VERDICT_FREE else None
-        return FAReport(
-            verdict=self.verdict, free_certificate=cert,
-            rank=cert.final_rank if cert else None,
-            unused_generators=() if cert else tuple(self.unused.tolist()),
-            l_holds=_holds(l_res), sl_holds=_holds(sl_res),
-            l_witness=l_res if isinstance(l_res, LWitness) else None,
-            sl_witness=sl_res if isinstance(sl_res, SLWitness) else None,
-            epsilon=eps, exploratory_epsilon=eps != DEFAULT_EPSILON,
-            budget_exceeded=exceeded)
+        return {
+            "verdict": self.verdict,
+            "rank": cert.final_rank if cert else None,
+            "unused_generators": [] if cert else self.unused.tolist(),
+            "free_certificate": cert,
+            "l_holds": _holds(l_res), "sl_holds": _holds(sl_res),
+            "l_witness": (l_res.to_json_dict()
+                          if isinstance(l_res, LWitness) else None),
+            "sl_witness": (sl_res.to_json_dict()
+                           if isinstance(sl_res, SLWitness) else None),
+            "epsilon": str(self.eps),
+            "exploratory_epsilon": self.eps != DEFAULT_EPSILON,
+            "budget_exceeded": exceeded,
+        }
 
 
 def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
@@ -139,7 +146,7 @@ def decide_verdict(pres: Presentation, eps=DEFAULT_EPSILON,
                else VERDICT_FA if l_res == "holds" and sl_res == "holds"
                else VERDICT_UNKNOWN)
     return Decision(cert, unused, l_res, sl_res, verdict, tuple(skipped),
-                    tuple(budget_errors))
+                    tuple(budget_errors), Fraction(eps))
 
 
 def _check_keys(given, names, what: str) -> None:

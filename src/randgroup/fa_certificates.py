@@ -12,8 +12,8 @@ unmatched split is the witness.
 Both hold together only in genuinely crowded relator sets, and in
 that situation the group has a fixed point for every action on a
 tree. ``experiments.decide_verdict`` runs them after the cheap
-structural outcomes, and ``Decision.fa_report`` maps its result to
-the ``FAReport`` that ``check-fa`` prints.
+structural outcomes, and ``Decision.fa_fields`` gives the JSON object
+that ``check-fa`` prints.
 
 The search spaces are exponential in the worst case, and neither
 search has a size limit of its own: node budgets turn runaway
@@ -43,7 +43,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .freeness import EliminationCertificate
 from .hypergraph import _DENSE_CAP, build
 from .model import Presentation
 
@@ -87,39 +86,6 @@ class SLWitness:
     def from_json_dict(cls, d: dict) -> "SLWitness":
         return cls(U=tuple(sorted(int(g) for g in d["U"])),
                    V=tuple(sorted(int(g) for g in d["V"])))
-
-
-@dataclass(frozen=True)
-class FAReport:
-    verdict: str
-    rank: Optional[int] = None
-    unused_generators: tuple[int, ...] = ()
-    free_certificate: Optional[EliminationCertificate] = None
-    l_holds: Optional[bool] = None
-    sl_holds: Optional[bool] = None
-    l_witness: Optional[LWitness] = None
-    sl_witness: Optional[SLWitness] = None
-    epsilon: Fraction = DEFAULT_EPSILON
-    exploratory_epsilon: bool = False
-    budget_exceeded: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "unused_generators": list(self.unused_generators),
-            "free_certificate": (None if self.free_certificate is None
-                                 else self.free_certificate.to_json_dict()),
-            "l_holds": self.l_holds,
-            "sl_holds": self.sl_holds,
-            "l_witness": (None if self.l_witness is None
-                          else self.l_witness.to_json_dict()),
-            "sl_witness": (None if self.sl_witness is None
-                           else self.sl_witness.to_json_dict()),
-            "epsilon": str(self.epsilon),
-            "exploratory_epsilon": self.exploratory_epsilon,
-            "budget_exceeded": self.budget_exceeded,
-        }
 
 
 def _set_size(eps: Fraction, m: int) -> int:

@@ -21,7 +21,7 @@ number in base 2m, most significant letter first. One int64 column
 holds as many letters as keep base^letters <= 2^63 - 1, and longer
 words are split into several columns of that many letters (the last
 one shorter). The lexicographic order of the key columns is then the
-word order of ``words.word_key``. One column suffices whenever
+word order, lexicographic in the codes. One column suffices whenever
 (2m)^ell < 2^63, e.g. m = 10^4 up to ell = 4 and m = 10^6 up to ell = 3.
 The samplers draw words as columns of letter codes and pack the keys
 from those; only the kept words become signed int32 rows. The
@@ -673,7 +673,7 @@ def _parse_body(body: str, m: int, ell: int, tag: str) -> np.ndarray:
     _parse_line, which raises the first bad line's error or loads the
     tokens and separators that the layout does not use.
     """
-    if not body.strip():
+    if not body or body.isspace():
         return np.empty((0, ell), dtype=np.int32)
     rows = _read_saved_body(body, m, ell, tag)
     if rows is not None:

@@ -15,21 +15,9 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Iterator
 
-from .errors import BudgetExceededError, EmptyWordError
+from .errors import EmptyWordError
 
 Word = tuple[int, ...]
-
-DEFAULT_ENUMERATION_CAP = 10**7
-
-
-def letter_key(letter: int) -> tuple[int, int]:
-    """Sort key realizing the letter order 1 < -1 < 2 < -2 < ..."""
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_key(word: Word) -> tuple[tuple[int, int], ...]:
-    """Lexicographic sort key for a word."""
-    return tuple(letter_key(x) for x in word)
 
 
 def is_integer(x) -> bool:
@@ -98,23 +86,6 @@ def iter_cyclically_reduced(m: int, ell: int) -> Iterator[Word]:
         else:
             pos += 1
             word[pos] = 0
-
-
-def enumerate_cyclically_reduced(
-    m: int, ell: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Word]:
-    """All cyclically reduced words of length ell, lexicographically ordered.
-
-    Raises BudgetExceededError("enumerate_cyclically_reduced", cap) up
-    front when the exact count exceeds ``cap``: no partial list is returned.
-    """
-    total = count_cyclically_reduced(m, ell)
-    if total > cap:
-        raise BudgetExceededError("enumerate_cyclically_reduced", cap,
-                                  f"{total} words at m={m}, ell={ell}")
-    out = list(iter_cyclically_reduced(m, ell))
-    assert len(out) == total
-    return out
 
 
 def word_to_text(word: Word) -> str:

@@ -7,8 +7,9 @@ split condition screened over all 2^m splits at once,
 generator elimination by rescanning the relators, the incremental
 elimination loop as ``certify_free`` first wrote it, relator types,
 hypergraph supports, components by union-find, the canonical relator
-class, a word's inverse and text form, one uniform cyclically reduced
-word drawn at a time, the rank mod p of a whole dense integer matrix, the
+class, a word's inverse and text form, the word order as a sort key,
+the list of all cyclically reduced words of a length, one uniform
+cyclically reduced word drawn at a time, the rank mod p of a whole dense integer matrix, the
 determinant by fraction-free elimination, and the presentation file
 and ``certify-free`` JSON as they were first written, a Python format
 per letter and ``json.dumps`` of Python lists.
@@ -31,7 +32,7 @@ from randgroup.errors import (BudgetExceededError, DomainError,
 from randgroup.fa_certificates import (DEFAULT_EPSILON, L_NODE_BUDGET,
                                        SL_MAX_M, VERDICT_FA, VERDICT_FREE,
                                        VERDICT_SPLITS, VERDICT_UNKNOWN,
-                                       FAReport, LWitness, SLWitness,
+                                       LWitness, SLWitness,
                                        _as_eps, _partition_cap, _set_size,
                                        check_L_exact, unused_generators)
 from randgroup.freeness import (EliminationCertificate, StuckReport,
@@ -39,14 +40,16 @@ from randgroup.freeness import (EliminationCertificate, StuckReport,
 from randgroup.hypergraph import SupportHypergraph, _component_labels, build
 from randgroup.model import (Presentation, _codes_to_signed,
                              _uniform_code_columns)
-from randgroup.words import (Word, is_cyclically_reduced, validate_word,
-                             word_key)
+from randgroup.words import (Word, count_cyclically_reduced,
+                             is_cyclically_reduced, iter_cyclically_reduced,
+                             validate_word)
 
 
 # ------------------------------------------------------------- verdicts
 
-def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
-    """Composite verdict, cheap structure first.
+def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> dict:
+    """Composite verdict, cheap structure first, as check-fa's JSON
+    object with a free verdict's certificate as an object.
 
     A freeness certificate beats everything; unused generators come
     next and witness a free splitting; both exhaustive conditions
@@ -56,36 +59,37 @@ def reference_fa_verdict(pres: Presentation, eps=DEFAULT_EPSILON) -> FAReport:
     and so does a search past its budget or an m past SL_MAX_M.
     """
     eps = _as_eps(eps)
-    exploratory = eps != DEFAULT_EPSILON
+    report = {"verdict": VERDICT_UNKNOWN, "rank": None,
+              "unused_generators": [], "free_certificate": None,
+              "l_holds": None, "sl_holds": None,
+              "l_witness": None, "sl_witness": None,
+              "epsilon": str(eps),
+              "exploratory_epsilon": eps != DEFAULT_EPSILON,
+              "budget_exceeded": False}
     cert = certify_free(pres)
     if isinstance(cert, EliminationCertificate):
-        return FAReport(verdict=VERDICT_FREE, rank=cert.final_rank,
-                        free_certificate=cert, epsilon=eps,
-                        exploratory_epsilon=exploratory)
+        return report | {"verdict": VERDICT_FREE, "rank": cert.final_rank,
+                         "free_certificate": cert}
     unused = unused_generators(pres)
     if len(unused):
-        return FAReport(verdict=VERDICT_SPLITS,
-                        unused_generators=tuple(unused.tolist()),
-                        epsilon=eps, exploratory_epsilon=exploratory)
+        return report | {"verdict": VERDICT_SPLITS,
+                         "unused_generators": unused.tolist()}
     if not pres.all_positive:
-        return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,
-                        exploratory_epsilon=exploratory)
+        return report
     try:
         l_res = check_L_exact(pres, eps)
     except BudgetExceededError:
         l_res = None
     if l_res is None or pres.m > SL_MAX_M:
-        return FAReport(verdict=VERDICT_UNKNOWN, epsilon=eps,
-                        exploratory_epsilon=exploratory, budget_exceeded=True)
+        return report | {"budget_exceeded": True}
     sl_res = reference_check_SL(pres, eps)
     l_ok = l_res == "holds"
     sl_ok = sl_res == "holds"
-    return FAReport(
-        verdict=VERDICT_FA if l_ok and sl_ok else VERDICT_UNKNOWN,
-        l_holds=l_ok, sl_holds=sl_ok,
-        l_witness=None if l_ok else l_res,
-        sl_witness=None if sl_ok else sl_res,
-        epsilon=eps, exploratory_epsilon=exploratory)
+    return report | {
+        "verdict": VERDICT_FA if l_ok and sl_ok else VERDICT_UNKNOWN,
+        "l_holds": l_ok, "sl_holds": sl_ok,
+        "l_witness": None if l_ok else l_res.to_json_dict(),
+        "sl_witness": None if sl_ok else sl_res.to_json_dict()}
 
 
 # ----------------------------------------------------- letter condition
@@ -344,6 +348,36 @@ def components(h: SupportHypergraph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------- words
+
+DEFAULT_ENUMERATION_CAP = 10**7
+
+
+def letter_key(letter: int) -> tuple[int, int]:
+    """Sort key realizing the letter order 1 < -1 < 2 < -2 < ..."""
+    return (abs(letter), 0 if letter > 0 else 1)
+
+
+def word_key(word: Word) -> tuple[tuple[int, int], ...]:
+    """Lexicographic sort key for a word."""
+    return tuple(letter_key(x) for x in word)
+
+
+def enumerate_cyclically_reduced(
+    m: int, ell: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[Word]:
+    """All cyclically reduced words of length ell, lexicographically ordered.
+
+    Raises BudgetExceededError("enumerate_cyclically_reduced", cap) up
+    front when the exact count exceeds ``cap``: no partial list is returned.
+    """
+    total = count_cyclically_reduced(m, ell)
+    if total > cap:
+        raise BudgetExceededError("enumerate_cyclically_reduced", cap,
+                                  f"{total} words at m={m}, ell={ell}")
+    out = list(iter_cyclically_reduced(m, ell))
+    assert len(out) == total
+    return out
+
 
 def inverse_word(word: Word) -> Word:
     """The formal inverse: reversed word with every letter negated."""

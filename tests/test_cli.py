@@ -8,15 +8,17 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import reference_report_json
+from test_golden_verdicts import GOLDEN_CHECK_FA
 from randgroup import abelianization, cli, experiments
 from randgroup.cli import _emit, build_parser, main
-from randgroup.fa_certificates import SL_MAX_M
+from randgroup.fa_certificates import DEFAULT_EPSILON, SL_MAX_M
 from randgroup.freeness import (EliminationCertificate, StuckReport,
                                 certify_free)
 from randgroup.hypergraph import diagnostics
@@ -598,16 +600,31 @@ def test_emitted_reports_match_at_block_edges(capsys, k):
         assert capsys.readouterr().out == reference_report_json(report)
 
 
-def test_check_fa_streams_the_free_certificate(tmp_path, capsys):
-    pres = sample("binomial", ModelParams(2000, 3, 0.1 * 2000 ** -2.0, 11))
+# the golden check-fa files, and a free one of 1599 steps to stream
+CHECK_FA_FILES = [("free_m2000", lambda: sample(
+    "binomial", ModelParams(2000, 3, 0.1 * 2000 ** -2.0, 11)), None,
+    "FreeCertified")] + [row[:4] for row in GOLDEN_CHECK_FA]
+
+
+@pytest.mark.parametrize("make, eps, verdict",
+                         [row[1:] for row in CHECK_FA_FILES],
+                         ids=[row[0] for row in CHECK_FA_FILES])
+def test_check_fa_prints_the_decision_fields(tmp_path, capsys, make, eps,
+                                             verdict):
+    pres = make()
     path = tmp_path / "x.pres"
     with open(path, "w", encoding="ascii") as fh:
         save_presentation(pres, fh)
-    code, out, _ = run(capsys, "check-fa", str(path))
-    report = experiments.decide_verdict(
-        pres, budgets=experiments.Budgets(l_max_m=SL_MAX_M)).fa_report()
-    assert code == 0 and report.free_certificate is not None
-    assert out == json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+    argv = ("check-fa", str(path)) + (() if eps is None
+                                      else ("--epsilon", eps))
+    code, out, _ = run(capsys, *argv)
+    fields = experiments.decide_verdict(
+        pres, DEFAULT_EPSILON if eps is None else Fraction(eps),
+        experiments.Budgets(l_max_m=SL_MAX_M)).fa_fields()
+    assert code == 0 and fields["verdict"] == verdict
+    if fields["free_certificate"] is not None:
+        fields["free_certificate"] = fields["free_certificate"].to_json_dict()
+    assert out == json.dumps(fields, sort_keys=True) + "\n"
 
 
 # runs the CLI, then prints its peak RSS in KiB to stderr. The child's

@@ -148,7 +148,7 @@ def test_trial_verdict_matches_composite(m, p, seed):
     params = ModelParams(m=m, ell=3, param=p, seed=seed)
     rec = run_trial("positive", params)
     rep = reference_fa_verdict(sample("positive", params))
-    assert rec.verdict == rep.verdict
+    assert rec.verdict == rep["verdict"]
     assert rec.chi == 1 - m + rec.n_relators
 
 

@@ -13,7 +13,6 @@ from randgroup.abelianization import surjects_onto_Z
 from randgroup.errors import BudgetExceededError, DomainError
 from randgroup.experiments import Budgets, decide_verdict
 from randgroup.fa_certificates import (
-    FAReport,
     LWitness,
     SL_NODE_BUDGET,
     SLWitness,
@@ -43,7 +42,7 @@ def all_positive_words(m, ell):
 
 def cascade_report(pres, eps=EPS):
     """The check-fa report of the verdict cascade, held to the reference."""
-    rep = decide_verdict(pres, eps, Budgets()).fa_report(eps)
+    rep = decide_verdict(pres, eps, Budgets()).fa_fields()
     assert rep == reference_fa_verdict(pres, eps)
     return rep
 
@@ -390,22 +389,22 @@ def test_monotone_under_more_relators(pres, data):
 
 def test_verdict_free():
     rep = cascade_report(make_presentation(3, 3, [(1, 2, 3)]))
-    assert rep.verdict == VERDICT_FREE
-    assert rep.rank == 2
-    assert isinstance(rep.free_certificate, EliminationCertificate)
+    assert rep["verdict"] == VERDICT_FREE
+    assert rep["rank"] == 2
+    assert isinstance(rep["free_certificate"], EliminationCertificate)
 
 
 def test_verdict_free_beats_splitting():
     # one eliminable generator plus two unused ones: freeness wins
     rep = cascade_report(make_presentation(4, 3, [(1, 2, 1)]))
-    assert rep.verdict == VERDICT_FREE
-    assert rep.rank == 3
+    assert rep["verdict"] == VERDICT_FREE
+    assert rep["rank"] == 3
 
 
 def test_verdict_splits():
     rep = cascade_report(make_presentation(4, 3, [(1, 1, 1)]))
-    assert rep.verdict == VERDICT_SPLITS
-    assert rep.unused_generators == (2, 3, 4)
+    assert rep["verdict"] == VERDICT_SPLITS
+    assert rep["unused_generators"] == [2, 3, 4]
     unused = unused_generators(make_presentation(4, 3, [(1, 1, 1)]))
     assert unused.tolist() == [2, 3, 4]
     assert unused.dtype == np.int64 and not unused.flags.writeable
@@ -414,30 +413,43 @@ def test_verdict_splits():
 def test_verdict_fa_on_full_cube():
     pres = make_presentation(2, 3, all_positive_words(2, 3))
     rep = cascade_report(pres)
-    assert rep.verdict == VERDICT_FA
-    assert rep.l_holds and rep.sl_holds
+    assert rep["verdict"] == VERDICT_FA
+    assert rep["l_holds"] and rep["sl_holds"]
     assert not surjects_onto_Z(pres)
 
 
 def test_verdict_unknown_with_budget_flag():
     pres = make_presentation(23, 3, [tuple([g] * 3) for g in range(1, 24)])
     rep = cascade_report(pres)
-    assert rep.verdict == VERDICT_UNKNOWN
-    assert rep.budget_exceeded
+    assert rep["verdict"] == VERDICT_UNKNOWN
+    assert rep["budget_exceeded"]
 
 
 def test_verdict_unknown_for_signed_non_free():
     pres = make_presentation(2, 4, [(1, 1, -2, -2), (2, 2, -1, -1),
                                     (1, 2, 1, 2), (2, 1, 2, 1)])
     rep = cascade_report(pres)
-    assert rep.verdict == VERDICT_UNKNOWN
-    assert rep.l_holds is None and rep.sl_holds is None
+    assert rep["verdict"] == VERDICT_UNKNOWN
+    assert rep["l_holds"] is None and rep["sl_holds"] is None
 
 
 def test_exploratory_epsilon_flag():
     pres = make_presentation(2, 3, all_positive_words(2, 3))
-    assert not cascade_report(pres).exploratory_epsilon
-    assert cascade_report(pres, eps=Fraction(1, 3)).exploratory_epsilon
+    assert not cascade_report(pres)["exploratory_epsilon"]
+    assert cascade_report(pres, eps=Fraction(1, 3))["exploratory_epsilon"]
+
+
+def test_fields_report_the_epsilon_searched():
+    # every positive word starting in {2, 3, 4}: L holds at 1/3, and at
+    # the default 1/100 (one generator per position) (1, 1, 1) is missing
+    pres = make_presentation(4, 3, [w for w in all_positive_words(4, 3)
+                                    if w[0] != 1])
+    third = cascade_report(pres, Fraction(1, 3))
+    assert third["epsilon"] == "1/3" and third["exploratory_epsilon"]
+    assert third["l_holds"] is True
+    default = cascade_report(pres)
+    assert default["l_holds"] is False
+    assert default["l_witness"] == {"sets": [[1], [1], [1]]}
 
 
 def test_witness_json_round_trips():
@@ -445,8 +457,7 @@ def test_witness_json_round_trips():
     assert LWitness.from_json_dict(lw.to_json_dict()) == lw
     sw = SLWitness(U=(2,), V=(1, 3))
     assert SLWitness.from_json_dict(sw.to_json_dict()) == sw
-    rep = cascade_report(make_presentation(3, 3, [(1, 2, 3)]))
-    d = rep.to_json_dict()
+    d = cascade_report(make_presentation(3, 3, [(1, 2, 3)]))
     assert d["verdict"] == VERDICT_FREE
     assert d["epsilon"] == "1/100"
 
@@ -468,8 +479,8 @@ def test_soundness_over_random_presentations():
                 n_seen += 1
                 free_positive = (isinstance(cert, EliminationCertificate)
                                  and cert.final_rank >= 1)
-                assert not (free_positive and rep.verdict == VERDICT_FA)
-                if rep.verdict == VERDICT_FA:
+                assert not (free_positive and rep["verdict"] == VERDICT_FA)
+                if rep["verdict"] == VERDICT_FA:
                     n_fa += 1
                     assert not surjects_onto_Z(pres)
     assert n_seen >= 1000

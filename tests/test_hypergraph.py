@@ -18,10 +18,9 @@ from randgroup.hypergraph import (_SAMPLE_EDGES, _component_labels, build,
                                   diagnostics, verify_edge_lower_bound)
 from randgroup.model import (ModelParams, make_presentation, sample,
                              sample_binomial)
-from randgroup.words import letter_key
 
-from oracles import (classify_type, components, reference_component_labels,
-                     support)
+from oracles import (classify_type, components, letter_key,
+                     reference_component_labels, support)
 
 
 @lru_cache(maxsize=None)

@@ -35,14 +35,10 @@ from randgroup.model import (
     universe_size,
     _sample_distinct,
 )
-from oracles import (reference_save_presentation, sample_uniform_word,
-                     sample_uniform_words_matrix)
-from randgroup.words import (
-    count_cyclically_reduced,
-    enumerate_cyclically_reduced,
-    is_cyclically_reduced,
-    word_key,
-)
+from oracles import (enumerate_cyclically_reduced,
+                     reference_save_presentation, sample_uniform_word,
+                     sample_uniform_words_matrix, word_key)
+from randgroup.words import count_cyclically_reduced, is_cyclically_reduced
 
 
 def test_universe_sizes():
@@ -384,6 +380,8 @@ BODY_LAYOUTS = [
     ("2 1 2\n1 2 1\n2 1 2\n", ((1, 2, 1), (2, 1, 2))),
     # tokens int() accepts beyond plain digits keep loading
     ("+1 02 1\n-2\x0c-1 -2\n", ((1, 2, 1), (-2, -1, -2))),
+    # whitespace to str.isspace and str.split, not to numpy: no relator
+    ("\x0b\x1c \r\n", ()),
 ]
 
 

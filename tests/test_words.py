@@ -15,16 +15,14 @@ from randgroup.errors import (
 )
 from randgroup.words import (
     count_cyclically_reduced,
-    enumerate_cyclically_reduced,
     is_cyclically_reduced,
     is_reduced,
     iter_cyclically_reduced,
-    letter_key,
-    word_key,
     word_to_text,
 )
 
-from oracles import canonical_class, inverse_word, word_from_text
+from oracles import (canonical_class, enumerate_cyclically_reduced,
+                     inverse_word, letter_key, word_from_text, word_key)
 
 
 # Independent oracle: enumerate by filtering the full cartesian product.
